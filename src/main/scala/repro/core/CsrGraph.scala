@@ -10,6 +10,14 @@ import org.apache.spark.sql.DataFrame
   * the slice of `targets`/`weights` belonging to node `v`. Immutable once
   * built — ideal for the repeated traversals diffusion simulation performs.
   *
+  * The builders (`fromTriples`, `fromDataFrame`) work on primitive arrays
+  * only: a stable counting sort by source, then a per-row sort of packed
+  * `(dst, inputIndex)` longs. Time O(n + Σ_u d_u log d_u) for out-degrees
+  * d_u, i.e. at most O(n + m log m); temporary space 24 bytes per input
+  * edge. Rows are sorted by target, and of several edges with the same
+  * (src, dst) the first in input order wins. Ids outside [0, n) and NaN or
+  * negative weights are rejected, naming the edge.
+  *
   * @param n       number of nodes; node ids are 0 until n
   * @param offsets length n+1; CSR row pointers into `targets`/`weights`
   * @param targets length m; out-neighbor ids, sorted within each row
@@ -74,29 +82,13 @@ object CsrGraph {
     * (src, dst) pairs keeping the first weight; sorts rows by target.
     *
     * @param n       node count (ids must lie in [0, n))
-    * @param triples directed, weighted edges
+    * @param triples directed, weighted edges; weights must be non-negative
+    *                and not NaN
     */
   def fromTriples(n: Int, triples: Seq[(Int, Int, Double)]): CsrGraph = {
-    val seen = new java.util.HashSet[Long]()
-    val uniq = triples.filter { case (u, v, _) =>
-      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range [0,$n)")
-      seen.add((u.toLong << 32) | (v.toLong & 0xffffffffL))
-    }
-    val sorted = uniq.sortBy { case (u, v, _) => (u, v) }
-    val m = sorted.length
-    val offsets = new Array[Int](n + 1)
-    val targets = new Array[Int](m)
-    val weights = new Array[Double](m)
-    var i = 0
-    for ((u, v, w) <- sorted) {
-      offsets(u + 1) += 1
-      targets(i) = v
-      weights(i) = w
-      i += 1
-    }
-    var v = 0
-    while (v < n) { offsets(v + 1) += offsets(v); v += 1 }
-    new CsrGraph(n, offsets, targets, weights)
+    val b = new Builder(n, triples.size)
+    triples.foreach { case (u, v, w) => b.add(u, v, w) }
+    b.result()
   }
 
   /** Build from a weighted edge DataFrame with columns (src, dst, weight).
@@ -104,14 +96,80 @@ object CsrGraph {
     * Mirrors the paper's NetworkX→CSR conversion utilities: the DataFrame is
     * the "high-level" graph object, the CSR is the simulation structure.
     * Collects to the driver — diffusion graphs here are single-machine scale
-    * by design (the paper's setting).
+    * by design (the paper's setting). Ids are read as longs, so an id that
+    * does not fit in [0, n) is rejected rather than wrapped to an Int.
     */
   def fromDataFrame(edges: DataFrame, n: Int): CsrGraph = {
-    val triples = edges
-      .selectExpr("cast(src as int) src", "cast(dst as int) dst", "cast(weight as double) weight")
+    val rows = edges
+      .selectExpr("cast(src as bigint) src", "cast(dst as bigint) dst", "cast(weight as double) weight")
       .collect()
-      .map(r => (r.getInt(0), r.getInt(1), r.getDouble(2)))
-      .toSeq
-    fromTriples(n, triples)
+    val b = new Builder(n, rows.length)
+    rows.foreach(r => b.add(r.getLong(0), r.getLong(1), r.getDouble(2)))
+    b.result()
+  }
+
+  /** Primitive-array CSR builder shared by every constructor. `add` copies
+    * and validates one edge; `result` counting-sorts by source, sorts each
+    * row as packed longs `(dst << 32) | inputIndex` (so equal targets stay in
+    * input order) and keeps the first entry of every run of equal targets.
+    */
+  private final class Builder(n: Int, capacity: Int) {
+    require(n >= 0, s"node count must be non-negative, got $n")
+    private val src = new Array[Int](capacity)
+    private val dst = new Array[Int](capacity)
+    private val w = new Array[Double](capacity)
+    private var m = 0
+
+    def add(u: Long, v: Long, weight: Double): Unit = {
+      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range [0,$n)")
+      require(weight >= 0.0, s"edge ($u,$v) has weight $weight; weights must be non-negative and not NaN")
+      src(m) = u.toInt
+      dst(m) = v.toInt
+      w(m) = weight
+      m += 1
+    }
+
+    def result(): CsrGraph = {
+      // Stable counting sort by source into packed (dst, inputIndex) keys.
+      val offsets = new Array[Int](n + 1)
+      var i = 0
+      while (i < m) { offsets(src(i) + 1) += 1; i += 1 }
+      var u = 0
+      while (u < n) { offsets(u + 1) += offsets(u); u += 1 }
+      val next = java.util.Arrays.copyOf(offsets, n)
+      val keys = new Array[Long](m)
+      i = 0
+      while (i < m) {
+        val s = src(i)
+        keys(next(s)) = (dst(i).toLong << 32) | i
+        next(s) += 1
+        i += 1
+      }
+      // Sort each row, then compact it in place keeping the first of each run.
+      var out = 0
+      u = 0
+      while (u < n) {
+        val lo = offsets(u)
+        val hi = offsets(u + 1)
+        java.util.Arrays.sort(keys, lo, hi)
+        offsets(u) = out
+        var j = lo
+        while (j < hi) {
+          if (j == lo || (keys(j) >>> 32) != (keys(j - 1) >>> 32)) { keys(out) = keys(j); out += 1 }
+          j += 1
+        }
+        u += 1
+      }
+      offsets(n) = out
+      val targets = new Array[Int](out)
+      val weights = new Array[Double](out)
+      var k = 0
+      while (k < out) {
+        targets(k) = (keys(k) >>> 32).toInt
+        weights(k) = w(keys(k).toInt)
+        k += 1
+      }
+      new CsrGraph(n, offsets, targets, weights)
+    }
   }
 }

@@ -60,13 +60,15 @@ final class IcSimulator(g: CsrGraph, seed: Long) {
 }
 
 /** Reusable-state LT simulator; see [[IcSimulator]] for the scheme. The
-  * weight accumulator uses the same epoch marking, so stale accumulator
-  * values from earlier trials are never read.
+  * weight accumulator and the cached threshold use the same epoch marking,
+  * so stale values from earlier trials are never read, and each node's
+  * threshold is hashed once per trial however many pushes it receives.
   */
 final class LtSimulator(g: CsrGraph, seed: Long) {
   private val mark = new Array[Long](g.n) // epoch when node was activated
-  private val accMark = new Array[Long](g.n) // epoch when acc was last written
+  private val accMark = new Array[Long](g.n) // epoch when acc and thr were last reset
   private val acc = new Array[Double](g.n)
+  private val thr = new Array[Double](g.n) // θ_v, drawn on the first push of an epoch
   private val queue = new Array[Int](g.n)
   private var epoch = 0L
 
@@ -91,11 +93,14 @@ final class LtSimulator(g: CsrGraph, seed: Long) {
       while (j < end) {
         val v = g.targets(j)
         if (mark(v) != e) {
-          val prev = if (accMark(v) == e) acc(v) else 0.0
-          val cur = prev + g.weights(j)
+          if (accMark(v) != e) {
+            accMark(v) = e
+            acc(v) = 0.0
+            thr(v) = Rng.threshold(seed, trial, v)
+          }
+          val cur = acc(v) + g.weights(j)
           acc(v) = cur
-          accMark(v) = e
-          if (cur >= Rng.threshold(seed, trial, v)) {
+          if (cur >= thr(v)) {
             mark(v) = e
             queue(hi) = v; hi += 1
           }

@@ -17,13 +17,18 @@ import repro.weights.EdgeWeights
   */
 object Table1 {
 
-  /** One benchmark cell grid row. */
+  /** One benchmark cell grid row, with the adaptive trial count each rung's
+    * timing used (0 when unknown).
+    */
   final case class Row(
       graph: String,
       ewm: String,
       csrPerTrialMs: Double,
       boxedPerTrialMs: Double,
       fullScanPerTrialMs: Double,
+      csrTrials: Int = 0,
+      boxedTrials: Int = 0,
+      fullScanTrials: Int = 0,
   ) {
     private def norm(x: Double): Long = math.round(x / List(csrPerTrialMs, boxedPerTrialMs, fullScanPerTrialMs).min)
     def csrNorm: Long = norm(csrPerTrialMs)
@@ -77,7 +82,7 @@ object Table1 {
     val scan = Timing.perTrialMs(
       t => { FullScan.activatedCountIC(n, adjScan, seedSeq, t, rngSeed); () },
       maxTrials, minTimeMs)
-    Row(graphName, ewm, csr.ms, boxed.ms, scan.ms)
+    Row(graphName, ewm, csr.ms, boxed.ms, scan.ms, csr.trials, boxed.trials, scan.trials)
   }
 
   /** Run the full 3×3 grid. */
@@ -103,11 +108,13 @@ object Table1 {
     (header +: lines).mkString("\n")
   }
 
-  /** Raw per-trial milliseconds rendering (for EXPERIMENTS.md context). */
+  /** Raw per-trial milliseconds and trial counts (for EXPERIMENTS.md context). */
   def renderRaw(rows: Seq[Row]): String = {
-    val header = f"${"Graph"}%-22s ${"EWM"}%-4s ${"csr ms/trial"}%14s ${"boxed ms/trial"}%15s ${"scan ms/trial"}%14s"
+    val header = f"${"Graph"}%-22s ${"EWM"}%-4s ${"csr ms/trial"}%14s ${"boxed ms/trial"}%15s ${"scan ms/trial"}%14s" +
+      f" ${"csr trials"}%10s ${"boxed trials"}%12s ${"scan trials"}%11s"
     val lines = rows.map { r =>
-      f"${r.graph}%-22s ${r.ewm}%-4s ${r.csrPerTrialMs}%14.4f ${r.boxedPerTrialMs}%15.4f ${r.fullScanPerTrialMs}%14.4f"
+      f"${r.graph}%-22s ${r.ewm}%-4s ${r.csrPerTrialMs}%14.4f ${r.boxedPerTrialMs}%15.4f ${r.fullScanPerTrialMs}%14.4f" +
+        f" ${r.csrTrials}%10d ${r.boxedTrials}%12d ${r.fullScanTrials}%11d"
     }
     (header +: lines).mkString("\n")
   }

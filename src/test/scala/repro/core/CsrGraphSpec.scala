@@ -2,11 +2,48 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{PropHelpers, SparkSpec}
+import repro.graph.{Generators, GraphOps}
+import repro.weights.EdgeWeights
 
 /** CSR construction, invariants, degree math, DataFrame round-trip. */
 class CsrGraphSpec extends SparkSpec with PropHelpers {
 
   private val triangle = Seq((0, 1, 0.5), (1, 2, 0.25), (2, 0, 0.75))
+
+  /** Reference model: the original boxed builder (hash-set dedup keeping the
+    * first occurrence, then a stable sort by (src, dst)).
+    */
+  private def referenceBuild(n: Int, triples: Seq[(Int, Int, Double)]): CsrGraph = {
+    val seen = new java.util.HashSet[Long]()
+    val uniq = triples.filter { case (u, v, _) => seen.add((u.toLong << 32) | (v.toLong & 0xffffffffL)) }
+    val sorted = uniq.sortBy { case (u, v, _) => (u, v) }
+    val offsets = new Array[Int](n + 1)
+    sorted.foreach { case (u, _, _) => offsets(u + 1) += 1 }
+    (0 until n).foreach(v => offsets(v + 1) += offsets(v))
+    new CsrGraph(n, offsets, sorted.map(_._2).toArray, sorted.map(_._3).toArray)
+  }
+
+  /** True if some duplicated (src, dst) first occurs after an edge of the
+    * same row with a larger target, so sorting must not reorder equal keys.
+    */
+  private def hasLateDuplicate(n: Int, triples: Seq[(Int, Int, Double)]): Boolean = {
+    val count = triples.groupBy(e => (e._1, e._2)).map { case (k, es) => k -> es.size }
+    val rowMax = Array.fill(n)(-1)
+    val seen = scala.collection.mutable.HashSet.empty[(Int, Int)]
+    triples.exists { case (u, v, _) =>
+      val late = seen.add((u, v)) && count((u, v)) > 1 && rowMax(u) > v
+      rowMax(u) = math.max(rowMax(u), v)
+      late
+    }
+  }
+
+  private def assertSameCsr(a: CsrGraph, b: CsrGraph, clue: String = ""): Unit = {
+    assert(a.n == b.n, clue)
+    assert(a.offsets.sameElements(b.offsets), s"offsets differ $clue")
+    assert(a.targets.sameElements(b.targets), s"targets differ $clue")
+    assert(a.weights.map(java.lang.Double.doubleToRawLongBits)
+      .sameElements(b.weights.map(java.lang.Double.doubleToRawLongBits)), s"weights differ $clue")
+  }
 
   test("fromTriples builds correct offsets for a triangle") {
     val g = CsrGraph.fromTriples(3, triangle)
@@ -58,6 +95,22 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
     assertThrows[IllegalArgumentException](CsrGraph.fromTriples(2, Seq((-1, 0, 1.0))))
   }
 
+  test("NaN weights are rejected, naming the edge") {
+    val e = intercept[IllegalArgumentException](
+      CsrGraph.fromTriples(3, Seq((0, 1, 0.5), (1, 2, Double.NaN))))
+    assert(e.getMessage.contains("(1,2)"))
+  }
+
+  test("negative weights are rejected, naming the edge") {
+    val e = intercept[IllegalArgumentException](
+      CsrGraph.fromTriples(3, Seq((2, 0, -0.25), (0, 1, 0.5))))
+    assert(e.getMessage.contains("(2,0)"))
+  }
+
+  test("zero and unit weights are accepted") {
+    assert(CsrGraph.fromTriples(2, Seq((0, 1, 0.0), (1, 0, 1.0))).weights.toSeq == Seq(0.0, 1.0))
+  }
+
   test("empty graph has n rows and zero edges") {
     val g = CsrGraph.fromTriples(5, Nil)
     assert(g.n == 5 && g.m == 0)
@@ -103,6 +156,51 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
     assert(a.offsets.toSeq == b.offsets.toSeq)
     assert(a.targets.toSeq == b.targets.toSeq)
     assert(a.weights.toSeq == b.weights.toSeq)
+  }
+
+  test("fromDataFrame rejects long ids that do not fit instead of wrapping them") {
+    import spark.implicits._
+    // 4294967297 = 2^32 + 1 would wrap to 1 under an Int cast.
+    val wide = Seq((0L, 4294967297L, 0.5)).toDF("src", "dst", "weight")
+    assertThrows[IllegalArgumentException](CsrGraph.fromDataFrame(wide, 3))
+    val negative = Seq((-1L, 0L, 0.5)).toDF("src", "dst", "weight")
+    assertThrows[IllegalArgumentException](CsrGraph.fromDataFrame(negative, 3))
+  }
+
+  test("fromDataFrame accepts in-range long ids") {
+    import spark.implicits._
+    val df = triangle.map { case (u, v, w) => (u.toLong, v.toLong, w) }.toDF("src", "dst", "weight")
+    assertSameCsr(CsrGraph.fromDataFrame(df, 3), CsrGraph.fromTriples(3, triangle))
+  }
+
+  test("fromTriples equals the reference builder on random inputs with duplicates") {
+    var sawSelfLoop, sawLateDuplicate, sawEmpty, sawEmptyRow = false
+    forAllRandom(iters = 400) { rnd =>
+      val n = 1 + rnd.nextInt(300)
+      val m = if (rnd.nextInt(10) == 0) 0 else rnd.nextInt(4 * n)
+      val base = Seq.fill(m)((rnd.nextInt(n), rnd.nextInt(n), rnd.nextDouble()))
+      // Re-add some edges with a fresh weight at random later positions, so a
+      // duplicate's first occurrence is often not first in target order.
+      val dups = base.filter(_ => rnd.nextInt(4) == 0).map { case (u, v, _) => (u, v, rnd.nextDouble()) }
+      val loops = Seq.fill(rnd.nextInt(3))(rnd.nextInt(n)).map(v => (v, v, rnd.nextDouble()))
+      val triples = base ++ rnd.shuffle(dups ++ loops)
+      val g = CsrGraph.fromTriples(n, triples)
+      assertSameCsr(g, referenceBuild(n, triples), s"n=$n m=${triples.size}")
+      sawSelfLoop ||= triples.exists(e => e._1 == e._2)
+      sawEmpty ||= triples.isEmpty
+      sawEmptyRow ||= (n > 1 && triples.nonEmpty && (0 until n).exists(g.outDegree(_) == 0))
+      sawLateDuplicate ||= hasLateDuplicate(n, triples)
+    }
+    assert(sawSelfLoop && sawLateDuplicate && sawEmpty && sawEmptyRow)
+  }
+
+  test("fromTriples equals the reference builder on a Facebook-sized graph") {
+    val undirected = Generators.chungLuPowerLaw(spark, n = 4039, m = 88234, beta = 0.66, seed = 13)
+    val triples = GraphOps.toTriples(EdgeWeights("UR", GraphOps.symmetrize(undirected), seed = 31))
+    assert(triples.size > 150000)
+    val rnd = new scala.util.Random(5)
+    val withDups = triples ++ rnd.shuffle(triples.take(20000)).map { case (u, v, w) => (u, v, 1.0 - w) }
+    assertSameCsr(CsrGraph.fromTriples(4039, withDups), referenceBuild(4039, withDups))
   }
 
   test("random graphs satisfy CSR invariants") {

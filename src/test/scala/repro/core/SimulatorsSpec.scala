@@ -44,6 +44,24 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
     }
   }
 
+  test("LtSimulator matches LinearThreshold when a hub is pushed over several steps") {
+    // Chain 0 → 1 → … → k with unit weights activates one node per step;
+    // every chain node also pushes 1/(k+1) into hub h, so h crosses its
+    // threshold θ_h only after ⌈θ_h·(k+1)⌉ pushes, spread over as many steps.
+    val k = 40
+    val h = k + 1
+    val chain = (0 until k).map(i => (i, i + 1, 1.0))
+    val spokes = (0 to k).map(i => (i, h, 1.0 / (k + 1)))
+    val g = CsrGraph.fromTriples(k + 2, chain ++ spokes)
+    val sim = new LtSimulator(g, 23)
+    val hubSteps = (0 until 50).map { t =>
+      assert(sim.activatedCount(Array(0), t.toLong) ==
+        LinearThreshold.activatedCount(g, Array(0), t.toLong, 23), s"trial $t")
+      LinearThreshold.simulate(g, Array(0), t.toLong, 23).activationStep(h)
+    }
+    assert(hubSteps.count(_ > 1) > 40, s"hub must usually need several pushes: $hubSteps")
+  }
+
   test("IcSimulator is immune to stale state when seed sets change between calls") {
     forAllRandom(iters = 40) { rnd =>
       val g = randomGraph(rnd, 5 + rnd.nextInt(20), rnd.nextInt(120))

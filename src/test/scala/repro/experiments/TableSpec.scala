@@ -36,6 +36,7 @@ class TableSpec extends SparkSpec {
       maxTrials = 30, minTimeMs = 50, rngSeed = 7)
     assert(row.csrPerTrialMs > 0 && row.boxedPerTrialMs > 0 && row.fullScanPerTrialMs > 0)
     assert(Seq(row.csrNorm, row.boxedNorm, row.fullScanNorm).min == 1)
+    assert(Seq(row.csrTrials, row.boxedTrials, row.fullScanTrials).forall(t => t >= 1 && t <= 30))
   }
 
   test("Table1.render emits one line per row plus a header") {
@@ -44,6 +45,12 @@ class TableSpec extends SparkSpec {
     assert(out.linesIterator.size == 2)
     assert(out.contains("TV"))
     assert(out.contains("64"))
+  }
+
+  test("Table1.renderRaw reports each rung's trial count") {
+    val out = Table1.renderRaw(Seq(Table1.Row("g", "TV", 1.0, 8.0, 64.0, 1000, 187, 23)))
+    assert(out.linesIterator.size == 2)
+    assert(out.linesIterator.toSeq(1).split("\\s+").takeRight(3).toSeq == Seq("1000", "187", "23"))
   }
 
   test("Table1.Row normalization rounds against the fastest cell") {
