@@ -121,7 +121,9 @@ object Generators {
       val perm = rnd.shuffle((0 until n).toVector).toArray
       val pairs = Array.tabulate(n / 2)(i => (perm(2 * i), perm(2 * i + 1)))
       // Swap repair: a pair duplicating an existing edge trades partners
-      // with a random other pair until the matching is collision-free.
+      // with a random other pair until the matching is collision-free. Each node
+      // is in one pair, so (a, c) or (b, d) could only repeat pair i = (a, b)
+      // or j = (c, d) of this matching, which b != c and a != d rule out.
       var attempts = 0
       var dirty = true
       while (dirty) {
@@ -133,8 +135,7 @@ object Generators {
             val j = rnd.nextInt(pairs.length)
             val (c, d) = pairs(j)
             val ok = j != i && a != c && b != d && a != d && b != c &&
-              !used.contains(key(a, c)) && !used.contains(key(b, d)) &&
-              !pairs.exists(p => key(p._1, p._2) == key(a, c) || key(p._1, p._2) == key(b, d))
+              !used.contains(key(a, c)) && !used.contains(key(b, d))
             if (ok) { pairs(i) = (a, c); pairs(j) = (b, d) }
             dirty = true
             attempts += 1

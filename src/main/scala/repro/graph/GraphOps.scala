@@ -36,13 +36,17 @@ object GraphOps {
     edges.groupBy(col("src").as("node")).agg(count(lit(1)).as("out_degree"))
 
   /** Collect a (possibly weighted) edge DataFrame to local triples; a
-    * missing weight column defaults to `defaultWeight`.
+    * missing weight column defaults to `defaultWeight`. Ids are read as
+    * longs, so an id that does not fit in an Int is rejected, naming the
+    * edge, rather than failing on the column type or wrapping.
     */
   def toTriples(edges: DataFrame, defaultWeight: Double = 1.0): Seq[(Int, Int, Double)] = {
-    val withW =
-      if (edges.columns.contains("weight")) edges.selectExpr("src", "dst", "cast(weight as double) weight")
-      else edges.select(col("src"), col("dst"), lit(defaultWeight).as("weight"))
-    withW.collect().map(r => (r.getInt(0), r.getInt(1), r.getDouble(2))).toSeq
+    val weight = if (edges.columns.contains("weight")) col("weight").cast("double") else lit(defaultWeight)
+    edges.select(col("src").cast("bigint"), col("dst").cast("bigint"), weight).collect().map { r =>
+      val (u, v) = (r.getLong(0), r.getLong(1))
+      require(u.isValidInt && v.isValidInt, s"edge ($u,$v) has an id outside the Int range")
+      (u.toInt, v.toInt, r.getDouble(2))
+    }.toSeq
   }
 
   /** Lift local triples into an edge DataFrame (tests, small graphs). */

@@ -2,7 +2,7 @@ package repro.im
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{BoxedFrontier, FullScan}
-import repro.core.{CsrGraph, IcSimulator, LtSimulator}
+import repro.core.{CsrGraph, IndependentCascade, LinearThreshold, Model}
 import repro.spark.MonteCarlo
 
 /** Monte-Carlo influence function σ̂(S) with a pluggable simulation backend —
@@ -27,20 +27,16 @@ trait InfluenceEstimator {
   * reusable-state simulators so per-evaluation cost is proportional to the
   * touched edges, not to graph size — the property Table 2 measures.
   */
-final class CsrEstimator(g: CsrGraph, trials: Int, seed: Long, lt: Boolean = false)
+final class CsrEstimator(g: CsrGraph, trials: Int, seed: Long, model: Model = IndependentCascade)
     extends InfluenceEstimator {
   require(trials > 0, "trials must be positive")
-  private val ic = if (lt) null else new IcSimulator(g, seed)
-  private val ltSim = if (lt) new LtSimulator(g, seed) else null
+  private val sim = model.simulator(g, seed)
   val name: String = "csr"
-  def sigma(seeds: Seq[Int]): Double = {
-    val arr = seeds.toArray
-    if (lt) ltSim.meanInfluence(arr, trials) else ic.meanInfluence(arr, trials)
-  }
+  def sigma(seeds: Seq[Int]): Double = sim.meanInfluence(seeds.toArray, trials)
 }
 
 /** σ̂ via the boxed-frontier baseline (the pure-Python analog). */
-final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, lt: Boolean = false)
+final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, model: Model = IndependentCascade)
     extends InfluenceEstimator {
   require(trials > 0, "trials must be positive")
   private val adj = BoxedFrontier.buildAdjacency(triples)
@@ -49,9 +45,10 @@ final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int
     var sum = 0L
     var t = 0
     while (t < trials) {
-      sum +=
-        (if (lt) BoxedFrontier.activatedCountLT(adj, seeds, t.toLong, seed)
-         else BoxedFrontier.activatedCountIC(adj, seeds, t.toLong, seed))
+      sum += (model match {
+        case IndependentCascade => BoxedFrontier.activatedCountIC(adj, seeds, t.toLong, seed)
+        case LinearThreshold => BoxedFrontier.activatedCountLT(adj, seeds, t.toLong, seed)
+      })
       t += 1
     }
     sum.toDouble / trials
@@ -61,7 +58,7 @@ final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int
 /** σ̂ via the full-scan baseline (the NDlib analog) — the backend the paper
   * reports as not finishing CELF within its time budget.
   */
-final class FullScanEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, lt: Boolean = false)
+final class FullScanEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, model: Model = IndependentCascade)
     extends InfluenceEstimator {
   require(trials > 0, "trials must be positive")
   private val adj = FullScan.buildAdjacency(triples)
@@ -70,9 +67,10 @@ final class FullScanEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: 
     var sum = 0L
     var t = 0
     while (t < trials) {
-      sum +=
-        (if (lt) FullScan.activatedCountLT(n, adj, seeds, t.toLong, seed)
-         else FullScan.activatedCountIC(n, adj, seeds, t.toLong, seed))
+      sum += (model match {
+        case IndependentCascade => FullScan.activatedCountIC(n, adj, seeds, t.toLong, seed)
+        case LinearThreshold => FullScan.activatedCountLT(n, adj, seeds, t.toLong, seed)
+      })
       t += 1
     }
     sum.toDouble / trials
@@ -82,10 +80,9 @@ final class FullScanEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: 
 /** σ̂ with trials fanned out over the Spark cluster — same worlds, same
   * value, different execution substrate (see [[repro.spark.MonteCarlo]]).
   */
-final class SparkEstimator(spark: SparkSession, g: CsrGraph, trials: Int, seed: Long, lt: Boolean = false)
+final class SparkEstimator(spark: SparkSession, g: CsrGraph, trials: Int, seed: Long, model: Model = IndependentCascade)
     extends InfluenceEstimator {
   require(trials > 0, "trials must be positive")
   val name: String = "spark"
-  def sigma(seeds: Seq[Int]): Double =
-    MonteCarlo.influence(spark, g, seeds.toArray, trials, seed, if (lt) MonteCarlo.LT else MonteCarlo.IC)
+  def sigma(seeds: Seq[Int]): Double = MonteCarlo.influence(spark, g, seeds.toArray, trials, seed, model)
 }

@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{CsrGraph, IcSimulator, IndependentCascade, LinearThreshold, LtSimulator}
+import repro.core.{CsrGraph, IndependentCascade, Model}
 
 /** Spark-distributed Monte-Carlo driver for the diffusion engines.
   *
@@ -16,15 +16,11 @@ import repro.core.{CsrGraph, IcSimulator, IndependentCascade, LinearThreshold, L
   */
 object MonteCarlo {
 
-  /** Diffusion model selector. */
-  sealed trait Model extends Serializable
-  case object IC extends Model
-  case object LT extends Model
-
   /** Per-trial activation rows: (trial, node, step) for every activated node.
     *
     * The long-form relation every downstream aggregate derives from —
-    * the Spark analog of keeping raw simulation traces.
+    * the Spark analog of keeping raw simulation traces. Within a trial, rows
+    * come out in activation order, not node order.
     */
   def activations(
       spark: SparkSession,
@@ -32,7 +28,7 @@ object MonteCarlo {
       seeds: Array[Int],
       trials: Int,
       seed: Long,
-      model: Model = IC,
+      model: Model = IndependentCascade,
   ): DataFrame = {
     require(trials > 0, "trials must be positive")
     import spark.implicits._
@@ -42,16 +38,15 @@ object MonteCarlo {
       .range(trials)
       .as[Long]
       .mapPartitions { it =>
-        val graph = bg.value
+        val sim = model.simulator(bg.value, seed)
         val s = bSeeds.value
+        // Rows are read off the simulator's queue in O(activated); the next
+        // trial overwrites that state, so each trial's rows are materialised
+        // before the next trial is pulled.
         it.flatMap { trial =>
-          val res = model match {
-            case IC => IndependentCascade.simulate(graph, s, trial, seed)
-            case LT => LinearThreshold.simulate(graph, s, trial, seed)
-          }
-          res.activationStep.iterator.zipWithIndex.collect {
-            case (st, node) if st >= 0 => (trial, node, st)
-          }
+          val rows = Array.newBuilder[(Long, Int, Int)]
+          sim.foreachActivation(s, trial)((node, step) => rows += ((trial, node, step)))
+          rows.result()
         }
       }
       .toDF("trial", "node", "step")
@@ -64,7 +59,7 @@ object MonteCarlo {
       seeds: Array[Int],
       trials: Int,
       seed: Long,
-      model: Model = IC,
+      model: Model = IndependentCascade,
   ): DataFrame = {
     require(trials > 0, "trials must be positive")
     import spark.implicits._
@@ -76,16 +71,9 @@ object MonteCarlo {
       .mapPartitions { it =>
         // One reusable-state simulator per partition: allocation amortizes
         // over the partition's trials, matching the local hot path.
-        val g = bg.value
+        val sim = model.simulator(bg.value, seed)
         val s = bSeeds.value
-        model match {
-          case IC =>
-            val sim = new IcSimulator(g, seed)
-            it.map(trial => (trial, sim.activatedCount(s, trial)))
-          case LT =>
-            val sim = new LtSimulator(g, seed)
-            it.map(trial => (trial, sim.activatedCount(s, trial)))
-        }
+        it.map(trial => (trial, sim.activatedCount(s, trial)))
       }
       .toDF("trial", "activated")
   }
@@ -99,7 +87,7 @@ object MonteCarlo {
       seeds: Array[Int],
       trials: Int,
       seed: Long,
-      model: Model = IC,
+      model: Model = IndependentCascade,
   ): Double =
     trialCounts(spark, g, seeds, trials, seed, model)
       .agg(sum(col("activated")).cast("double").as("s"))

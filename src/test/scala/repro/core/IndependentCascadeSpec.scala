@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropHelpers
+import repro.baselines.BoxedFrontier
 
 /** IC engine: analytic cases, live-edge coupling properties, invariants. */
 class IndependentCascadeSpec extends AnyFunSuite with PropHelpers {
@@ -68,8 +69,8 @@ class IndependentCascadeSpec extends AnyFunSuite with PropHelpers {
     val p = 0.3
     val g = CsrGraph.fromTriples(2, Seq((0, 1, p)))
     val trials = 20000
-    val hits = (0 until trials).count(t =>
-      IndependentCascade.activatedCount(g, Array(0), t.toLong, 5) == 2)
+    val sim = IndependentCascade.simulator(g, 5)
+    val hits = (0 until trials).count(t => sim.activatedCount(Array(0), t.toLong) == 2)
     assert(math.abs(hits.toDouble / trials - p) < 0.01, s"empirical ${hits.toDouble / trials}")
   }
 
@@ -99,8 +100,9 @@ class IndependentCascadeSpec extends AnyFunSuite with PropHelpers {
       val g = randomGraph(rnd, 2 + rnd.nextInt(20), rnd.nextInt(80))
       val seeds = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(g.n))
       val trial = rnd.nextInt(1000).toLong
-      assert(IndependentCascade.activatedCount(g, seeds, trial, 7) ==
-        IndependentCascade.simulate(g, seeds, trial, 7).totalActivated)
+      val expected = BoxedFrontier.simulateIC(g.n, BoxedFrontier.buildAdjacency(g.edgeTriples), seeds.toSeq, trial, 7)
+      assert(IndependentCascade.simulator(g, 7).activatedCount(seeds, trial) == expected.totalActivated)
+      assert(IndependentCascade.simulate(g, seeds, trial, 7).totalActivated == expected.totalActivated)
     }
   }
 

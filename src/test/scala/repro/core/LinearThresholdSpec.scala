@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropHelpers
+import repro.baselines.BoxedFrontier
 
 /** LT engine: analytic cases, threshold-world coupling, invariants. */
 class LinearThresholdSpec extends AnyFunSuite with PropHelpers {
@@ -59,7 +60,8 @@ class LinearThresholdSpec extends AnyFunSuite with PropHelpers {
     val w = 0.35
     val g = star(2, w)
     val trials = 20000
-    val hits = (0 until trials).count(t => LinearThreshold.activatedCount(g, Array(0), t.toLong, 5) == 2)
+    val sim = LinearThreshold.simulator(g, 5)
+    val hits = (0 until trials).count(t => sim.activatedCount(Array(0), t.toLong) == 2)
     assert(math.abs(hits.toDouble / trials - w) < 0.01, s"freq ${hits.toDouble / trials}")
   }
 
@@ -77,7 +79,8 @@ class LinearThresholdSpec extends AnyFunSuite with PropHelpers {
   test("single half-weight in-neighbor activates with frequency 1/2") {
     val g = CsrGraph.fromTriples(3, Seq((0, 2, 0.5), (1, 2, 0.5)))
     val trials = 20000
-    val hits = (0 until trials).count(t => LinearThreshold.activatedCount(g, Array(0), t.toLong, 7) == 2)
+    val sim = LinearThreshold.simulator(g, 7)
+    val hits = (0 until trials).count(t => sim.activatedCount(Array(0), t.toLong) == 2)
     assert(math.abs(hits.toDouble / trials - 0.5) < 0.012, s"freq ${hits.toDouble / trials}")
   }
 
@@ -86,8 +89,9 @@ class LinearThresholdSpec extends AnyFunSuite with PropHelpers {
       val g = randomGraph(rnd, 2 + rnd.nextInt(20), rnd.nextInt(80))
       val seeds = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(g.n))
       val trial = rnd.nextInt(1000).toLong
-      assert(LinearThreshold.activatedCount(g, seeds, trial, 7) ==
-        LinearThreshold.simulate(g, seeds, trial, 7).totalActivated)
+      val expected = BoxedFrontier.simulateLT(g.n, BoxedFrontier.buildAdjacency(g.edgeTriples), seeds.toSeq, trial, 7)
+      assert(LinearThreshold.simulator(g, 7).activatedCount(seeds, trial) == expected.totalActivated)
+      assert(LinearThreshold.simulate(g, seeds, trial, 7).totalActivated == expected.totalActivated)
     }
   }
 
@@ -166,6 +170,14 @@ class LinearThresholdSpec extends AnyFunSuite with PropHelpers {
   test("meanInfluence rejects non-positive trial counts") {
     assertThrows[IllegalArgumentException](
       LinearThreshold.meanInfluence(path(3, 0.5), Array(0), -1, 1))
+  }
+
+  test("the LT simulator rejects a node whose in-weights sum above 1, naming it") {
+    val g = CsrGraph.fromTriples(3, Seq((0, 2, 0.7), (1, 2, 0.7)))
+    val e = intercept[IllegalArgumentException](new LtSimulator(g, 1))
+    assert(e.getMessage.contains("node 2"), e.getMessage)
+    assertThrows[IllegalArgumentException](LinearThreshold.simulate(g, Array(0), 0, 1))
+    assertThrows[IllegalArgumentException](LinearThreshold.meanInfluence(g, Array(0), 10, 1))
   }
 
   test("meanInfluence on the single half-weight star is 1.5") {

@@ -2,10 +2,13 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropHelpers
+import repro.baselines.BoxedFrontier
+import repro.im.BoxedEstimator
 
-/** Reusable-state simulators vs the allocate-per-trial reference paths.
-  * The epoch-marking scheme must never leak state across trials or across
-  * changing seed sets — every test interleaves calls to provoke staleness.
+/** Reusable-state simulators vs the boxed-frontier baseline. The
+  * epoch-marking scheme and the per-step `ends` record must never leak state
+  * across trials or across changing seed sets — every test interleaves calls
+  * to provoke staleness.
   */
 class SimulatorsSpec extends AnyFunSuite with PropHelpers {
 
@@ -20,31 +23,35 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
     CsrGraph.fromTriples(n, raw.map { case (u, v, w) => (u, v, w / math.max(1.0, sums(v))) })
   }
 
-  test("IcSimulator matches IndependentCascade.activatedCount across sequential trials") {
+  private def boxed(g: CsrGraph) = BoxedFrontier.buildAdjacency(g.edgeTriples)
+
+  test("IcSimulator matches BoxedFrontier across sequential trials") {
     forAllRandom(iters = 40) { rnd =>
       val g = randomGraph(rnd, 3 + rnd.nextInt(25), rnd.nextInt(120))
+      val adj = boxed(g)
       val seeds = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(g.n))
       val sim = new IcSimulator(g, 7)
       (0 until 20).foreach { t =>
         assert(sim.activatedCount(seeds, t.toLong) ==
-          IndependentCascade.activatedCount(g, seeds, t.toLong, 7), s"trial $t")
+          BoxedFrontier.activatedCountIC(adj, seeds.toSeq, t.toLong, 7), s"trial $t")
       }
     }
   }
 
-  test("LtSimulator matches LinearThreshold.activatedCount across sequential trials") {
+  test("LtSimulator matches BoxedFrontier across sequential trials") {
     forAllRandom(iters = 40) { rnd =>
       val g = randomLtGraph(rnd, 3 + rnd.nextInt(25), rnd.nextInt(120))
+      val adj = boxed(g)
       val seeds = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(g.n))
       val sim = new LtSimulator(g, 7)
       (0 until 20).foreach { t =>
         assert(sim.activatedCount(seeds, t.toLong) ==
-          LinearThreshold.activatedCount(g, seeds, t.toLong, 7), s"trial $t")
+          BoxedFrontier.activatedCountLT(adj, seeds.toSeq, t.toLong, 7), s"trial $t")
       }
     }
   }
 
-  test("LtSimulator matches LinearThreshold when a hub is pushed over several steps") {
+  test("LtSimulator matches BoxedFrontier on a hub pushed over several steps") {
     // Chain 0 → 1 → … → k with unit weights activates one node per step;
     // every chain node also pushes 1/(k+1) into hub h, so h crosses its
     // threshold θ_h only after ⌈θ_h·(k+1)⌉ pushes, spread over as many steps.
@@ -53,11 +60,12 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
     val chain = (0 until k).map(i => (i, i + 1, 1.0))
     val spokes = (0 to k).map(i => (i, h, 1.0 / (k + 1)))
     val g = CsrGraph.fromTriples(k + 2, chain ++ spokes)
+    val adj = boxed(g)
     val sim = new LtSimulator(g, 23)
     val hubSteps = (0 until 50).map { t =>
       assert(sim.activatedCount(Array(0), t.toLong) ==
-        LinearThreshold.activatedCount(g, Array(0), t.toLong, 23), s"trial $t")
-      LinearThreshold.simulate(g, Array(0), t.toLong, 23).activationStep(h)
+        BoxedFrontier.activatedCountLT(adj, Seq(0), t.toLong, 23), s"trial $t")
+      BoxedFrontier.simulateLT(g.n, adj, Seq(0), t.toLong, 23).activationStep(h)
     }
     assert(hubSteps.count(_ > 1) > 40, s"hub must usually need several pushes: $hubSteps")
   }
@@ -65,12 +73,13 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
   test("IcSimulator is immune to stale state when seed sets change between calls") {
     forAllRandom(iters = 40) { rnd =>
       val g = randomGraph(rnd, 5 + rnd.nextInt(20), rnd.nextInt(120))
+      val adj = boxed(g)
       val sim = new IcSimulator(g, 11)
       (0 until 15).foreach { i =>
         val seeds = Array.fill(1 + rnd.nextInt(4))(rnd.nextInt(g.n))
         val t = rnd.nextInt(8).toLong // deliberately repeat trial indices
         assert(sim.activatedCount(seeds, t) ==
-          IndependentCascade.activatedCount(g, seeds, t, 11), s"call $i")
+          BoxedFrontier.activatedCountIC(adj, seeds.toSeq, t, 11), s"call $i")
       }
     }
   }
@@ -78,14 +87,48 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
   test("LtSimulator is immune to stale accumulator state across calls") {
     forAllRandom(iters = 40) { rnd =>
       val g = randomLtGraph(rnd, 5 + rnd.nextInt(20), rnd.nextInt(120))
+      val adj = boxed(g)
       val sim = new LtSimulator(g, 13)
       (0 until 15).foreach { i =>
         val seeds = Array.fill(1 + rnd.nextInt(4))(rnd.nextInt(g.n))
         val t = rnd.nextInt(8).toLong
         assert(sim.activatedCount(seeds, t) ==
-          LinearThreshold.activatedCount(g, seeds, t, 13), s"call $i")
+          BoxedFrontier.activatedCountLT(adj, seeds.toSeq, t, 13), s"call $i")
       }
     }
+  }
+
+  /** One simulator instance interleaves `simulate` and `activatedCount` with
+    * changing seed sets and repeated trial indices; every `simulate` must
+    * match the boxed baseline step for step, so stale `ends` or epoch state
+    * from an earlier call would show.
+    */
+  private def interleaved(model: Model, graph: scala.util.Random => CsrGraph): Unit =
+    forAllRandom(iters = 40) { rnd =>
+      val g = graph(rnd)
+      val adj = boxed(g)
+      val sim = model.simulator(g, 29)
+      (0 until 20).foreach { i =>
+        val seeds = Array.fill(rnd.nextInt(4))(rnd.nextInt(g.n))
+        val t = rnd.nextInt(6).toLong
+        val expected = model match {
+          case IndependentCascade => BoxedFrontier.simulateIC(g.n, adj, seeds.toSeq, t, 29)
+          case LinearThreshold => BoxedFrontier.simulateLT(g.n, adj, seeds.toSeq, t, 29)
+        }
+        if (rnd.nextBoolean()) {
+          val r = sim.simulate(seeds, t)
+          assert(r.activationStep.toSeq == expected.activationStep.toSeq, s"call $i")
+          assert(r.newPerStep.toSeq == expected.newPerStep.toSeq, s"call $i")
+        } else assert(sim.activatedCount(seeds, t) == expected.totalActivated, s"call $i")
+      }
+    }
+
+  test("IcSimulator interleaving simulate and activatedCount matches BoxedFrontier") {
+    interleaved(IndependentCascade, rnd => randomGraph(rnd, 2 + rnd.nextInt(25), rnd.nextInt(120)))
+  }
+
+  test("LtSimulator interleaving simulate and activatedCount matches BoxedFrontier") {
+    interleaved(LinearThreshold, rnd => randomLtGraph(rnd, 2 + rnd.nextInt(25), rnd.nextInt(120)))
   }
 
   test("repeating the same trial on one simulator instance is idempotent") {
@@ -101,16 +144,18 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
     val rnd = new scala.util.Random(9)
     val g = randomGraph(rnd, 40, 200)
     val seeds = Array(1, 2)
-    assert(new IcSimulator(g, 19).meanInfluence(seeds, 50) ==
-      IndependentCascade.meanInfluence(g, seeds, 50, 19))
+    val sigma = new IcSimulator(g, 19).meanInfluence(seeds, 50)
+    assert(sigma == IndependentCascade.meanInfluence(g, seeds, 50, 19))
+    assert(sigma == new BoxedEstimator(g.n, g.edgeTriples, 50, 19).sigma(seeds.toSeq))
   }
 
   test("LtSimulator.meanInfluence equals the static meanInfluence") {
     val rnd = new scala.util.Random(9)
     val g = randomLtGraph(rnd, 40, 200)
     val seeds = Array(1, 2)
-    assert(new LtSimulator(g, 19).meanInfluence(seeds, 50) ==
-      LinearThreshold.meanInfluence(g, seeds, 50, 19))
+    val sigma = new LtSimulator(g, 19).meanInfluence(seeds, 50)
+    assert(sigma == LinearThreshold.meanInfluence(g, seeds, 50, 19))
+    assert(sigma == new BoxedEstimator(g.n, g.edgeTriples, 50, 19, LinearThreshold).sigma(seeds.toSeq))
   }
 
   test("meanInfluence rejects non-positive trials") {

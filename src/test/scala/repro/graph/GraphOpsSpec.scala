@@ -78,6 +78,20 @@ class GraphOpsSpec extends SparkSpec {
     assert(GraphOps.toTriples(weighted).forall(_._3 == 0.25))
   }
 
+  test("toTriples reads bigint id columns") {
+    import spark.implicits._
+    val wide = Seq((0L, 1L, 0.5), (2L, 0L, 0.25)).toDF("src", "dst", "weight")
+    assert(GraphOps.toTriples(wide).toSet == Set((0, 1, 0.5), (2, 0, 0.25)))
+  }
+
+  test("toTriples rejects ids that do not fit in an Int, naming the edge") {
+    import spark.implicits._
+    // 4294967297 = 2^32 + 1 would wrap to 1 under an Int cast.
+    val wide = Seq((0L, 4294967297L, 0.5)).toDF("src", "dst", "weight")
+    val e = intercept[IllegalArgumentException](GraphOps.toTriples(wide))
+    assert(e.getMessage.contains("(0,4294967297)"), e.getMessage)
+  }
+
   test("fromTriples/toTriples round-trip") {
     val triples = Seq((0, 1, 0.1), (1, 2, 0.9))
     val back = GraphOps.toTriples(GraphOps.fromTriples(spark, triples))

@@ -1,7 +1,7 @@
 package repro.im
 
 import repro.SparkSpec
-import repro.core.CsrGraph
+import repro.core.{CsrGraph, LinearThreshold}
 import repro.graph.{Generators, GraphOps}
 import repro.weights.EdgeWeights
 
@@ -39,10 +39,10 @@ class GreedyCelfSpec extends SparkSpec {
 
   test("LT estimators agree across backends too") {
     val (triples, g) = graph("WC")
-    val a = new CsrEstimator(g, trials, rngSeed, lt = true).sigma(Seq(0, 5))
-    val b = new BoxedEstimator(g.n, triples, trials, rngSeed, lt = true).sigma(Seq(0, 5))
-    val c = new FullScanEstimator(g.n, triples, trials, rngSeed, lt = true).sigma(Seq(0, 5))
-    val d = new SparkEstimator(spark, g, trials, rngSeed, lt = true).sigma(Seq(0, 5))
+    val a = new CsrEstimator(g, trials, rngSeed, model = LinearThreshold).sigma(Seq(0, 5))
+    val b = new BoxedEstimator(g.n, triples, trials, rngSeed, model = LinearThreshold).sigma(Seq(0, 5))
+    val c = new FullScanEstimator(g.n, triples, trials, rngSeed, model = LinearThreshold).sigma(Seq(0, 5))
+    val d = new SparkEstimator(spark, g, trials, rngSeed, model = LinearThreshold).sigma(Seq(0, 5))
     assert(a == b && a == c && a == d)
   }
 

@@ -1,6 +1,7 @@
 package repro.spark
 
 import org.apache.spark.sql.functions._
+import repro.baselines.BoxedFrontier
 import repro.core.{CsrGraph, IndependentCascade, LinearThreshold}
 import repro.graph.{Generators, GraphOps}
 import repro.weights.EdgeWeights
@@ -14,35 +15,36 @@ class MonteCarloSpec extends SparkSpec {
     val weighted = EdgeWeights.weightedCascade(GraphOps.symmetrize(undirected))
     CsrGraph.fromDataFrame(weighted, 150)
   }
+  private lazy val boxed = BoxedFrontier.buildAdjacency(g.edgeTriples)
   private val seeds = Array(0, 5, 9)
   private val rngSeed = 71L
 
   test("distributed IC influence is bit-identical to the local mean") {
     val local = IndependentCascade.meanInfluence(g, seeds, 40, rngSeed)
-    val dist = MonteCarlo.influence(spark, g, seeds, 40, rngSeed, MonteCarlo.IC)
+    val dist = MonteCarlo.influence(spark, g, seeds, 40, rngSeed, IndependentCascade)
     assert(local == dist, s"local=$local dist=$dist")
   }
 
   test("distributed LT influence is bit-identical to the local mean") {
     val local = LinearThreshold.meanInfluence(g, seeds, 40, rngSeed)
-    val dist = MonteCarlo.influence(spark, g, seeds, 40, rngSeed, MonteCarlo.LT)
+    val dist = MonteCarlo.influence(spark, g, seeds, 40, rngSeed, LinearThreshold)
     assert(local == dist)
   }
 
   test("trialCounts rows match local per-trial counts exactly") {
-    val rows = MonteCarlo.trialCounts(spark, g, seeds, 25, rngSeed, MonteCarlo.IC)
+    val rows = MonteCarlo.trialCounts(spark, g, seeds, 25, rngSeed, IndependentCascade)
       .collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
     assert(rows.size == 25)
     (0 until 25).foreach { t =>
-      assert(rows(t.toLong) == IndependentCascade.activatedCount(g, seeds, t.toLong, rngSeed))
+      assert(rows(t.toLong) == BoxedFrontier.activatedCountIC(boxed, seeds.toSeq, t.toLong, rngSeed))
     }
   }
 
   test("activations long-form matches local simulation traces") {
-    val rows = MonteCarlo.activations(spark, g, seeds, 10, rngSeed, MonteCarlo.IC)
+    val rows = MonteCarlo.activations(spark, g, seeds, 10, rngSeed, IndependentCascade)
       .collect().map(r => (r.getLong(0), r.getInt(1)) -> r.getInt(2)).toMap
     (0 until 10).foreach { t =>
-      val local = IndependentCascade.simulate(g, seeds, t.toLong, rngSeed)
+      val local = BoxedFrontier.simulateIC(g.n, boxed, seeds.toSeq, t.toLong, rngSeed)
       local.activationStep.zipWithIndex.foreach { case (s, v) =>
         if (s >= 0) assert(rows((t.toLong, v)) == s, s"trial $t node $v")
         else assert(!rows.contains((t.toLong, v)))
@@ -51,10 +53,10 @@ class MonteCarloSpec extends SparkSpec {
   }
 
   test("activations for LT match local simulation traces") {
-    val rows = MonteCarlo.activations(spark, g, seeds, 8, rngSeed, MonteCarlo.LT)
+    val rows = MonteCarlo.activations(spark, g, seeds, 8, rngSeed, LinearThreshold)
       .collect().map(r => (r.getLong(0), r.getInt(1)) -> r.getInt(2)).toMap
     (0 until 8).foreach { t =>
-      val local = LinearThreshold.simulate(g, seeds, t.toLong, rngSeed)
+      val local = BoxedFrontier.simulateLT(g.n, boxed, seeds.toSeq, t.toLong, rngSeed)
       local.activationStep.zipWithIndex.foreach { case (s, v) =>
         if (s >= 0) assert(rows((t.toLong, v)) == s)
         else assert(!rows.contains((t.toLong, v)))
