@@ -9,99 +9,62 @@ import scala.collection.mutable
   * pointer-chasing) and hash-based status sets. The algorithmic work is
   * identical to [[repro.core.IndependentCascade]]; only the constant factors
   * differ, which is exactly the CyNetDiff-vs-pure-Python comparison.
+  *
+  * Each model has one traversal loop (`runIC`, `runLT`); the count paths pass
+  * it a no-op report and the trace paths record its reports with
+  * [[repro.core.SimResult.record]].
   */
 object BoxedFrontier {
 
-  /** Adjacency map from directed (src, dst, weight) triples. */
-  def buildAdjacency(triples: Seq[(Int, Int, Double)]): Map[Int, Vector[(Int, Double)]] =
+  /** Per-node rows of boxed (target, weight) tuples, sorted by target. */
+  type Adjacency = Map[Int, Vector[(Int, Double)]]
+
+  /** Adjacency map from directed (src, dst, weight) triples. Rows are sorted
+    * by target, and of several edges with the same (src, dst) the first in
+    * input order wins, as in [[repro.core.CsrGraph]].
+    */
+  def buildAdjacency(triples: Seq[(Int, Int, Double)]): Adjacency =
     triples.groupBy(_._1).map { case (u, es) =>
-      u -> es.sortBy(_._2).map { case (_, v, w) => (v, w) }.toVector
+      u -> es.sortBy(_._2).distinctBy(_._2).map { case (_, v, w) => (v, w) }.toVector
     }
+
+  private val ignore: (Int, Int) => Unit = (_, _) => ()
 
   /** One IC trial; same random world as the CSR engine (identical output). */
-  def simulateIC(
-      n: Int,
-      adj: Map[Int, Vector[(Int, Double)]],
-      seeds: Seq[Int],
-      trial: Long,
-      seed: Long,
-  ): SimResult = {
-    val step = mutable.Map.empty[Int, Int]
-    var frontier = seeds.distinct.toVector
-    frontier.foreach(s => step(s) = 0)
-    val perStep = mutable.ArrayBuffer[Int](frontier.size)
-    var t = 0
-    while (frontier.nonEmpty) {
-      t += 1
-      val next = mutable.ArrayBuffer.empty[Int]
-      for {
-        u <- frontier
-        (v, w) <- adj.getOrElse(u, Vector.empty)
-        if !step.contains(v) && Rng.coin(seed, trial, u, v) < w
-      } {
-        step(v) = t
-        next += v
-      }
-      if (next.nonEmpty) perStep += next.size
-      frontier = next.toVector
-    }
-    toResult(n, step, perStep)
-  }
+  def simulateIC(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): SimResult =
+    SimResult.record(n)(runIC(adj, seeds, trial, seed, _))
 
   /** One LT trial; forward-push accumulation, same thresholds as CSR. */
-  def simulateLT(
-      n: Int,
-      adj: Map[Int, Vector[(Int, Double)]],
-      seeds: Seq[Int],
-      trial: Long,
-      seed: Long,
-  ): SimResult = {
-    val step = mutable.Map.empty[Int, Int]
-    val acc = mutable.Map.empty[Int, Double].withDefaultValue(0.0)
+  def simulateLT(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): SimResult =
+    SimResult.record(n)(runLT(adj, seeds, trial, seed, _))
+
+  /** Activated-node count for one IC trial — the σ̂ hot path; the "pure
+    * Python" CELF backend computes `len(activated)`.
+    */
+  def activatedCountIC(adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): Int =
+    runIC(adj, seeds, trial, seed, ignore)
+
+  /** Activated-node count for one LT trial (see [[activatedCountIC]]). */
+  def activatedCountLT(adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): Int =
+    runLT(adj, seeds, trial, seed, ignore)
+
+  /** The IC frontier loop: calls `f(node, step)` for each seed and each
+    * activation, and returns the activated count.
+    */
+  private def runIC(adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long, f: (Int, Int) => Unit): Int = {
+    val active = mutable.HashSet.empty[Int]
     var frontier = seeds.distinct.toVector
-    frontier.foreach(s => step(s) = 0)
-    val perStep = mutable.ArrayBuffer[Int](frontier.size)
+    frontier.foreach { s => active += s; f(s, 0) }
     var t = 0
     while (frontier.nonEmpty) {
       t += 1
-      val next = mutable.ArrayBuffer.empty[Int]
-      for {
-        u <- frontier
-        (v, w) <- adj.getOrElse(u, Vector.empty)
-        if !step.contains(v)
-      } {
-        acc(v) = acc(v) + w
-        if (acc(v) >= Rng.threshold(seed, trial, v)) {
-          step(v) = t
-          next += v
-        }
-      }
-      if (next.nonEmpty) perStep += next.size
-      frontier = next.toVector
-    }
-    toResult(n, step, perStep)
-  }
-
-  /** Activated-node count for one IC trial — the σ̂ hot path. Same frontier
-    * loop as [[simulateIC]] without per-step bookkeeping or the O(n) result
-    * array; the "pure Python" CELF backend computes `len(activated)`.
-    */
-  def activatedCountIC(
-      adj: Map[Int, Vector[(Int, Double)]],
-      seeds: Seq[Int],
-      trial: Long,
-      seed: Long,
-  ): Int = {
-    val active = mutable.HashSet.empty[Int]
-    var frontier = seeds.distinct.toVector
-    frontier.foreach(active += _)
-    while (frontier.nonEmpty) {
       val next = mutable.ArrayBuffer.empty[Int]
       for {
         u <- frontier
         (v, w) <- adj.getOrElse(u, Vector.empty)
         if !active.contains(v) && Rng.coin(seed, trial, u, v) < w
       } {
+        f(v, t)
         active += v
         next += v
       }
@@ -110,18 +73,15 @@ object BoxedFrontier {
     active.size
   }
 
-  /** Activated-node count for one LT trial (see [[activatedCountIC]]). */
-  def activatedCountLT(
-      adj: Map[Int, Vector[(Int, Double)]],
-      seeds: Seq[Int],
-      trial: Long,
-      seed: Long,
-  ): Int = {
+  /** The LT forward-push loop (see [[runIC]]). */
+  private def runLT(adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long, f: (Int, Int) => Unit): Int = {
     val active = mutable.HashSet.empty[Int]
     val acc = mutable.Map.empty[Int, Double].withDefaultValue(0.0)
     var frontier = seeds.distinct.toVector
-    frontier.foreach(active += _)
+    frontier.foreach { s => active += s; f(s, 0) }
+    var t = 0
     while (frontier.nonEmpty) {
+      t += 1
       val next = mutable.ArrayBuffer.empty[Int]
       for {
         u <- frontier
@@ -130,6 +90,7 @@ object BoxedFrontier {
       } {
         acc(v) = acc(v) + w
         if (acc(v) >= Rng.threshold(seed, trial, v)) {
+          f(v, t)
           active += v
           next += v
         }
@@ -137,11 +98,5 @@ object BoxedFrontier {
       frontier = next.toVector
     }
     active.size
-  }
-
-  private def toResult(n: Int, step: mutable.Map[Int, Int], perStep: mutable.ArrayBuffer[Int]): SimResult = {
-    val arr = Array.fill(n)(-1)
-    step.foreach { case (v, s) => arr(v) = s }
-    SimResult(arr, perStep.toArray)
   }
 }

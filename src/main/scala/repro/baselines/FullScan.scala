@@ -18,17 +18,24 @@ import scala.collection.mutable
   * Semantics and random worlds are identical to the CSR engine: an active
   * node attempts each inactive out-neighbor exactly once (status ACTIVE →
   * REMOVED after its attempt step, as NDlib does).
+  *
+  * Each model has one traversal loop (`runIC`, `runLT`); the count paths pass
+  * it a no-op report and the trace paths record its reports with
+  * [[repro.core.SimResult.record]].
   */
 object FullScan {
 
   /** NetworkX-style dict-of-dicts adjacency. */
   type Adjacency = mutable.HashMap[Int, mutable.HashMap[Int, Double]]
 
-  /** Build the dict-of-dicts from directed (src, dst, weight) triples. */
+  /** Build the dict-of-dicts from directed (src, dst, weight) triples. Of
+    * several edges with the same (src, dst) the first in input order wins, as
+    * in [[repro.core.CsrGraph]].
+    */
   def buildAdjacency(triples: Seq[(Int, Int, Double)]): Adjacency = {
     val adj: Adjacency = mutable.HashMap.empty
     for ((u, v, w) <- triples)
-      adj.getOrElseUpdate(u, mutable.HashMap.empty).update(v, w)
+      adj.getOrElseUpdate(u, mutable.HashMap.empty).getOrElseUpdate(v, w)
     adj
   }
 
@@ -38,19 +45,37 @@ object FullScan {
 
   private val emptyRow = mutable.HashMap.empty[Int, Double]
 
+  private val ignore: (Int, Int) => Unit = (_, _) => ()
+
   /** One IC trial; scans all n nodes every step (the NDlib pattern). */
-  def simulateIC(
-      n: Int,
-      adj: Adjacency,
-      seeds: Seq[Int],
-      trial: Long,
-      seed: Long,
-  ): SimResult = {
+  def simulateIC(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): SimResult =
+    SimResult.record(n)(runIC(n, adj, seeds, trial, seed, _))
+
+  /** One LT trial; recomputes every inactive node's active-in-neighbor weight
+    * from scratch each step — the quadratic-flavored NDlib pattern. Needs the
+    * reverse adjacency, built internally from the forward one.
+    */
+  def simulateLT(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): SimResult =
+    SimResult.record(n)(runLT(n, adj, seeds, trial, seed, _))
+
+  /** Activated-node count for one IC trial — the σ̂ hot path; NDlib's CELF
+    * backend reads `len(infected)` off the status dict.
+    */
+  def activatedCountIC(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): Int =
+    runIC(n, adj, seeds, trial, seed, ignore)
+
+  /** Activated-node count for one LT trial (see [[activatedCountIC]]). */
+  def activatedCountLT(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): Int =
+    runLT(n, adj, seeds, trial, seed, ignore)
+
+  /** The IC full-scan loop: calls `f(node, step)` for each seed and each
+    * activation, and returns the activated count.
+    */
+  private def runIC(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long, f: (Int, Int) => Unit): Int = {
     val status = mutable.HashMap.empty[Int, Int]
     (0 until n).foreach(v => status(v) = Inactive)
-    val stepOf = mutable.HashMap.empty[Int, Int]
-    seeds.distinct.foreach { s => status(s) = Active; stepOf(s) = 0 }
-    val perStep = mutable.ArrayBuffer[Int](seeds.distinct.size)
+    var count = 0
+    seeds.distinct.foreach { s => status(s) = Active; count += 1; f(s, 0) }
     var t = 0
     var changed = true
     while (changed) {
@@ -68,99 +93,7 @@ object FullScan {
             val w = adj(u)(v)
             if (status(v) == Inactive && !newlySet.contains(v) &&
                 Rng.coin(seed, trial, u, v) < w) {
-              newlyActive += v
-              newlySet += v
-              stepOf(v) = t
-            }
-          }
-          status(u) = Removed
-        }
-        u += 1
-      }
-      if (newlyActive.nonEmpty) {
-        newlyActive.foreach(v => status(v) = Active)
-        perStep += newlyActive.size
-        changed = true
-      }
-    }
-    toResult(n, stepOf, perStep)
-  }
-
-  /** One LT trial; recomputes every inactive node's active-in-neighbor weight
-    * from scratch each step — the quadratic-flavored NDlib pattern. Needs the
-    * reverse adjacency, built internally from the forward one.
-    */
-  def simulateLT(
-      n: Int,
-      adj: Adjacency,
-      seeds: Seq[Int],
-      trial: Long,
-      seed: Long,
-  ): SimResult = {
-    val radj: Adjacency = mutable.HashMap.empty
-    for ((u, row) <- adj; (v, w) <- row)
-      radj.getOrElseUpdate(v, mutable.HashMap.empty).update(u, w)
-    val active = mutable.HashSet.empty[Int]
-    val stepOf = mutable.HashMap.empty[Int, Int]
-    seeds.distinct.foreach { s => active += s; stepOf(s) = 0 }
-    val perStep = mutable.ArrayBuffer[Int](active.size)
-    var t = 0
-    var changed = true
-    while (changed) {
-      changed = false
-      t += 1
-      val newlyActive = mutable.ArrayBuffer.empty[Int]
-      var v = 0
-      while (v < n) {
-        if (!active.contains(v)) {
-          var total = 0.0
-          for ((u, _) <- radj.getOrElse(v, emptyRow))
-            if (active.contains(u)) total += radj(v)(u)
-          if (total >= Rng.threshold(seed, trial, v)) {
-            newlyActive += v
-            stepOf(v) = t
-          }
-        }
-        v += 1
-      }
-      if (newlyActive.nonEmpty) {
-        newlyActive.foreach(active += _)
-        perStep += newlyActive.size
-        changed = true
-      }
-    }
-    toResult(n, stepOf, perStep)
-  }
-
-  /** Activated-node count for one IC trial — the σ̂ hot path. Keeps the
-    * full-scan structure (every node visited every step) and the
-    * dict-of-dicts weight lookups, but skips step bookkeeping and the O(n)
-    * result array; NDlib's CELF backend reads `len(infected)` off the
-    * status dict.
-    */
-  def activatedCountIC(
-      n: Int,
-      adj: Adjacency,
-      seeds: Seq[Int],
-      trial: Long,
-      seed: Long,
-  ): Int = {
-    val status = mutable.HashMap.empty[Int, Int]
-    (0 until n).foreach(v => status(v) = Inactive)
-    var count = 0
-    seeds.distinct.foreach { s => status(s) = Active; count += 1 }
-    var changed = true
-    while (changed) {
-      changed = false
-      val newlyActive = mutable.ArrayBuffer.empty[Int]
-      val newlySet = mutable.HashSet.empty[Int]
-      var u = 0
-      while (u < n) {
-        if (status(u) == Active) {
-          for ((v, _) <- adj.getOrElse(u, emptyRow)) {
-            val w = adj(u)(v)
-            if (status(v) == Inactive && !newlySet.contains(v) &&
-                Rng.coin(seed, trial, u, v) < w) {
+              f(v, t)
               newlyActive += v
               newlySet += v
             }
@@ -178,22 +111,20 @@ object FullScan {
     count
   }
 
-  /** Activated-node count for one LT trial (see [[activatedCountIC]]). */
-  def activatedCountLT(
-      n: Int,
-      adj: Adjacency,
-      seeds: Seq[Int],
-      trial: Long,
-      seed: Long,
-  ): Int = {
+  /** The LT full-scan loop (see [[runIC]]); rebuilds the reverse adjacency
+    * on every call.
+    */
+  private def runLT(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long, f: (Int, Int) => Unit): Int = {
     val radj: Adjacency = mutable.HashMap.empty
     for ((u, row) <- adj; (v, w) <- row)
       radj.getOrElseUpdate(v, mutable.HashMap.empty).update(u, w)
     val active = mutable.HashSet.empty[Int]
-    seeds.distinct.foreach(active += _)
+    seeds.distinct.foreach { s => active += s; f(s, 0) }
+    var t = 0
     var changed = true
     while (changed) {
       changed = false
+      t += 1
       val newlyActive = mutable.ArrayBuffer.empty[Int]
       var v = 0
       while (v < n) {
@@ -201,7 +132,10 @@ object FullScan {
           var total = 0.0
           for ((u, _) <- radj.getOrElse(v, emptyRow))
             if (active.contains(u)) total += radj(v)(u)
-          if (total >= Rng.threshold(seed, trial, v)) newlyActive += v
+          if (total >= Rng.threshold(seed, trial, v)) {
+            newlyActive += v
+            f(v, t)
+          }
         }
         v += 1
       }
@@ -211,11 +145,5 @@ object FullScan {
       }
     }
     active.size
-  }
-
-  private def toResult(n: Int, stepOf: mutable.HashMap[Int, Int], perStep: mutable.ArrayBuffer[Int]): SimResult = {
-    val arr = Array.fill(n)(-1)
-    stepOf.foreach { case (v, s) => arr(v) = s }
-    SimResult(arr, perStep.toArray)
   }
 }

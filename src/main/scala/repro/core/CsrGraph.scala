@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-
 /** Compressed-sparse-row directed graph with per-edge weights.
   *
   * This is the data-structure contribution of the paper mapped onto the JVM:
@@ -10,13 +8,15 @@ import org.apache.spark.sql.DataFrame
   * the slice of `targets`/`weights` belonging to node `v`. Immutable once
   * built — ideal for the repeated traversals diffusion simulation performs.
   *
-  * The builders (`fromTriples`, `fromDataFrame`) work on primitive arrays
-  * only: a stable counting sort by source, then a per-row sort of packed
-  * `(dst, inputIndex)` longs. Time O(n + Σ_u d_u log d_u) for out-degrees
-  * d_u, i.e. at most O(n + m log m); temporary space 24 bytes per input
-  * edge. Rows are sorted by target, and of several edges with the same
-  * (src, dst) the first in input order wins. Ids outside [0, n) and NaN or
-  * negative weights are rejected, naming the edge.
+  * The builder (`fromTriples`) works on primitive arrays only: a stable
+  * counting sort by source, then a per-row sort of packed `(dst, inputIndex)`
+  * longs. Time O(n + Σ_u d_u log d_u) for out-degrees d_u, i.e. at most
+  * O(n + m log m); temporary space 24 bytes per input edge. Rows are sorted
+  * by target, and of several edges with the same (src, dst) the first in
+  * input order wins. Ids outside [0, n) and weights that are NaN or outside
+  * [0, 1] are rejected, naming the edge. An edge DataFrame is built through
+  * [[repro.graph.GraphOps.toTriples]], which rejects ids outside the Int
+  * range.
   *
   * @param n       number of nodes; node ids are 0 until n
   * @param offsets length n+1; CSR row pointers into `targets`/`weights`
@@ -82,8 +82,7 @@ object CsrGraph {
     * (src, dst) pairs keeping the first weight; sorts rows by target.
     *
     * @param n       node count (ids must lie in [0, n))
-    * @param triples directed, weighted edges; weights must be non-negative
-    *                and not NaN
+    * @param triples directed, weighted edges; weights must lie in [0, 1]
     */
   def fromTriples(n: Int, triples: Seq[(Int, Int, Double)]): CsrGraph = {
     val b = new Builder(n, triples.size)
@@ -91,24 +90,7 @@ object CsrGraph {
     b.result()
   }
 
-  /** Build from a weighted edge DataFrame with columns (src, dst, weight).
-    *
-    * Mirrors the paper's NetworkX→CSR conversion utilities: the DataFrame is
-    * the "high-level" graph object, the CSR is the simulation structure.
-    * Collects to the driver — diffusion graphs here are single-machine scale
-    * by design (the paper's setting). Ids are read as longs, so an id that
-    * does not fit in [0, n) is rejected rather than wrapped to an Int.
-    */
-  def fromDataFrame(edges: DataFrame, n: Int): CsrGraph = {
-    val rows = edges
-      .selectExpr("cast(src as bigint) src", "cast(dst as bigint) dst", "cast(weight as double) weight")
-      .collect()
-    val b = new Builder(n, rows.length)
-    rows.foreach(r => b.add(r.getLong(0), r.getLong(1), r.getDouble(2)))
-    b.result()
-  }
-
-  /** Primitive-array CSR builder shared by every constructor. `add` copies
+  /** Primitive-array CSR builder behind [[fromTriples]]. `add` copies
     * and validates one edge; `result` counting-sorts by source, sorts each
     * row as packed longs `(dst << 32) | inputIndex` (so equal targets stay in
     * input order) and keeps the first entry of every run of equal targets.
@@ -120,11 +102,11 @@ object CsrGraph {
     private val w = new Array[Double](capacity)
     private var m = 0
 
-    def add(u: Long, v: Long, weight: Double): Unit = {
+    def add(u: Int, v: Int, weight: Double): Unit = {
       require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range [0,$n)")
-      require(weight >= 0.0, s"edge ($u,$v) has weight $weight; weights must be non-negative and not NaN")
-      src(m) = u.toInt
-      dst(m) = v.toInt
+      require(weight >= 0.0 && weight <= 1.0, s"edge ($u,$v) has weight $weight; weights must lie in [0, 1]")
+      src(m) = u
+      dst(m) = v
       w(m) = weight
       m += 1
     }

@@ -19,3 +19,25 @@ final case class SimResult(activationStep: Array[Int], newPerStep: Array[Int]) {
   /** Cumulative activated count after each step (Figure 3's y-axis). */
   def cumulativePerStep: Array[Int] = newPerStep.scanLeft(0)(_ + _).tail
 }
+
+object SimResult {
+
+  /** The one way to build a result: `run` performs a trial on an n-node graph
+    * and reports each activated node once as `(node, step)`, in
+    * non-decreasing step order. With no report at all (an empty seed set)
+    * `newPerStep` is `Array(0)`.
+    */
+  def record(n: Int)(run: ((Int, Int) => Unit) => Unit): SimResult = {
+    val step = new Array[Int](n)
+    java.util.Arrays.fill(step, -1)
+    var perStep = new Array[Int](1)
+    var last = 0
+    run { (v, t) =>
+      step(v) = t
+      if (t >= perStep.length) perStep = java.util.Arrays.copyOf(perStep, math.max(t + 1, 2 * perStep.length))
+      perStep(t) += 1
+      last = t
+    }
+    SimResult(step, java.util.Arrays.copyOf(perStep, last + 1))
+  }
+}

@@ -64,10 +64,9 @@ sealed abstract class Simulator(protected val g: CsrGraph) {
   }
 
   /** Run trial `trial` and call `f(node, step)` for every activated node, in
-    * activation order; O(activated). Returns the last step that activated a
-    * node (0 when only the seeds, or nothing, are active).
+    * activation order (so in non-decreasing step order); O(activated).
     */
-  final def foreachActivation(seeds: Array[Int], trial: Long)(f: (Int, Int) => Unit): Int = {
+  final def foreachActivation(seeds: Array[Int], trial: Long)(f: (Int, Int) => Unit): Unit = {
     val count = activatedCount(seeds, trial)
     var t = 0
     var i = 0
@@ -76,16 +75,11 @@ sealed abstract class Simulator(protected val g: CsrGraph) {
       f(queue(i), t)
       i += 1
     }
-    t
   }
 
   /** Run trial `trial` with per-node activation steps (O(n) output). */
-  final def simulate(seeds: Array[Int], trial: Long): SimResult = {
-    val step = new Array[Int](g.n)
-    java.util.Arrays.fill(step, -1)
-    val last = foreachActivation(seeds, trial)((v, t) => step(v) = t)
-    SimResult(step, Array.tabulate(last + 1)(t => if (t == 0) ends(0) else ends(t) - ends(t - 1)))
-  }
+  final def simulate(seeds: Array[Int], trial: Long): SimResult =
+    SimResult.record(g.n)(foreachActivation(seeds, trial))
 }
 
 /** The independent-cascade kernel; see [[IndependentCascade]]. */

@@ -35,23 +35,41 @@ final class CsrEstimator(g: CsrGraph, trials: Int, seed: Long, model: Model = In
   def sigma(seeds: Seq[Int]): Double = sim.meanInfluence(seeds.toArray, trials)
 }
 
-/** σ̂ via the boxed-frontier baseline (the pure-Python analog). */
-final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, model: Model = IndependentCascade)
-    extends InfluenceEstimator {
+/** σ̂ as the mean activated count over trials [0, trials) — the one trial
+  * loop of the two baseline estimators. Each picks its per-trial `count`
+  * for its model once, when it is built.
+  */
+sealed abstract class TrialMeanEstimator(trials: Int) extends InfluenceEstimator {
   require(trials > 0, "trials must be positive")
-  private val adj = BoxedFrontier.buildAdjacency(triples)
-  val name: String = "boxed"
-  def sigma(seeds: Seq[Int]): Double = {
+
+  protected val count: TrialMeanEstimator.Count
+
+  final def sigma(seeds: Seq[Int]): Double = {
     var sum = 0L
     var t = 0
-    while (t < trials) {
-      sum += (model match {
-        case IndependentCascade => BoxedFrontier.activatedCountIC(adj, seeds, t.toLong, seed)
-        case LinearThreshold => BoxedFrontier.activatedCountLT(adj, seeds, t.toLong, seed)
-      })
-      t += 1
-    }
+    while (t < trials) { sum += count(seeds, t.toLong); t += 1 }
     sum.toDouble / trials
+  }
+}
+
+object TrialMeanEstimator {
+
+  /** Activated count of one trial for a seed set; a SAM type rather than a
+    * `Function2`, so the trial index and the count are not boxed per trial.
+    */
+  trait Count { def apply(seeds: Seq[Int], trial: Long): Int }
+}
+
+/** σ̂ via the boxed-frontier baseline (the pure-Python analog). */
+final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, model: Model = IndependentCascade)
+    extends TrialMeanEstimator(trials) {
+  val name: String = "boxed"
+  protected val count: TrialMeanEstimator.Count = {
+    val adj = BoxedFrontier.buildAdjacency(triples)
+    model match {
+      case IndependentCascade => BoxedFrontier.activatedCountIC(adj, _, _, seed)
+      case LinearThreshold => BoxedFrontier.activatedCountLT(adj, _, _, seed)
+    }
   }
 }
 
@@ -59,21 +77,14 @@ final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int
   * reports as not finishing CELF within its time budget.
   */
 final class FullScanEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, model: Model = IndependentCascade)
-    extends InfluenceEstimator {
-  require(trials > 0, "trials must be positive")
-  private val adj = FullScan.buildAdjacency(triples)
+    extends TrialMeanEstimator(trials) {
   val name: String = "fullscan"
-  def sigma(seeds: Seq[Int]): Double = {
-    var sum = 0L
-    var t = 0
-    while (t < trials) {
-      sum += (model match {
-        case IndependentCascade => FullScan.activatedCountIC(n, adj, seeds, t.toLong, seed)
-        case LinearThreshold => FullScan.activatedCountLT(n, adj, seeds, t.toLong, seed)
-      })
-      t += 1
+  protected val count: TrialMeanEstimator.Count = {
+    val adj = FullScan.buildAdjacency(triples)
+    model match {
+      case IndependentCascade => FullScan.activatedCountIC(n, adj, _, _, seed)
+      case LinearThreshold => FullScan.activatedCountLT(n, adj, _, _, seed)
     }
-    sum.toDouble / trials
   }
 }
 

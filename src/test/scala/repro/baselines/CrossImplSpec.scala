@@ -1,7 +1,7 @@
 package repro.baselines
 
-import repro.SparkSpec
-import repro.core.{CsrGraph, IndependentCascade, LinearThreshold}
+import repro.{PropHelpers, SparkSpec}
+import repro.core.{CsrGraph, IndependentCascade, LinearThreshold, Model, SimResult}
 import repro.graph.{Generators, GraphOps}
 import repro.weights.EdgeWeights
 
@@ -14,7 +14,7 @@ import repro.weights.EdgeWeights
   * Tests are generated per (graph × EWM × model) cell; each cell checks
   * multiple trials and seed sets.
   */
-class CrossImplSpec extends SparkSpec {
+class CrossImplSpec extends SparkSpec with PropHelpers {
 
   /** (name, n, undirected edges) — small versions of the paper's graphs. */
   private lazy val graphs = Seq(
@@ -156,5 +156,78 @@ class CrossImplSpec extends SparkSpec {
     assert(boxed(2).toSet == Set((1, 0.3)))
     assert(scan(0).toSet == Set((1, 0.1), (2, 0.2)))
     assert(scan(2).toSet == Set((1, 0.3)))
+  }
+
+  /** Each rung's one-trial `(simulate, activatedCount)` for `model`, CSR first. */
+  private def rungs(model: Model, n: Int, triples: Seq[(Int, Int, Double)], seed: Long)
+      : Seq[(String, (Array[Int], Long) => (SimResult, Int))] = {
+    val sim = model.simulator(CsrGraph.fromTriples(n, triples), seed)
+    val boxed = BoxedFrontier.buildAdjacency(triples)
+    val scan = FullScan.buildAdjacency(triples)
+    val ic = model == IndependentCascade
+    Seq(
+      ("csr", (s: Array[Int], t: Long) => (sim.simulate(s, t), sim.activatedCount(s, t))),
+      ("boxed", (s: Array[Int], t: Long) =>
+        if (ic) (BoxedFrontier.simulateIC(n, boxed, s.toSeq, t, seed), BoxedFrontier.activatedCountIC(boxed, s.toSeq, t, seed))
+        else (BoxedFrontier.simulateLT(n, boxed, s.toSeq, t, seed), BoxedFrontier.activatedCountLT(boxed, s.toSeq, t, seed))),
+      ("full-scan", (s: Array[Int], t: Long) =>
+        if (ic) (FullScan.simulateIC(n, scan, s.toSeq, t, seed), FullScan.activatedCountIC(n, scan, s.toSeq, t, seed))
+        else (FullScan.simulateLT(n, scan, s.toSeq, t, seed), FullScan.activatedCountLT(n, scan, s.toSeq, t, seed))),
+    )
+  }
+
+  for ((name, model, triples) <- Seq(
+      ("IC", IndependentCascade, Seq((0, 1, 0.1), (0, 1, 0.9), (1, 2, 0.5))),
+      ("LT", LinearThreshold, Seq((0, 2, 0.3), (0, 2, 0.6), (1, 2, 0.4))),
+    )) {
+    test(s"$name: every rung keeps the first of duplicate (src, dst) edges, as the CSR builder does") {
+      val (_, csr) +: others = rungs(model, 3, triples, rngSeed)
+      for ((rung, run) <- others; t <- 0L until 50L)
+        assert(run(Array(0), t)._1.activationStep.toSeq == csr(Array(0), t)._1.activationStep.toSeq,
+          s"CSR vs $rung mismatch at trial $t")
+    }
+  }
+
+  test("all rungs agree on SimResult and count on random edge-case graphs") {
+    var sawSelfLoop, sawDuplicate, sawIsolated, sawZero, sawOne = false
+    forAllRandom(iters = 150) { rnd =>
+      val n = 1 + rnd.nextInt(30)
+      def weight(): Double = rnd.nextInt(4) match {
+        case 0 => 0.0
+        case 1 => 1.0
+        case _ => rnd.nextDouble()
+      }
+      val base = Seq.fill(rnd.nextInt(3 * n + 1))((rnd.nextInt(n), rnd.nextInt(n), weight()))
+      val dups = base.filter(_ => rnd.nextInt(3) == 0).map { case (u, v, _) => (u, v, weight()) }
+      val loops = Seq.fill(rnd.nextInt(3))(rnd.nextInt(n)).map(v => (v, v, weight()))
+      val ic = rnd.shuffle(base ++ dups ++ loops)
+      // LT: scale by the in-sum of the edges the builders keep, so it is <= 1.
+      val sums = CsrGraph.fromTriples(n, ic).inWeightSums
+      val lt = ic.map { case (u, v, w) => (u, v, w / math.max(1.0, sums(v))) }
+      val some = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(n))
+      val seedSets = Seq(Array.empty[Int], some ++ some, Array.range(0, n))
+      for ((name, model, triples) <- Seq(("IC", IndependentCascade, ic), ("LT", LinearThreshold, lt))) {
+        val all = rungs(model, n, triples, rngSeed)
+        for (seeds <- seedSets; t <- 0L until 3L) {
+          val results = all.map { case (rung, run) => rung -> run(seeds, t) }
+          val (_, (csr, _)) = results.head
+          for ((rung, (r, count)) <- results) {
+            val clue = s"$name $rung n=$n seeds=${seeds.mkString(",")} trial $t"
+            assert(r.activationStep.toSeq == csr.activationStep.toSeq, clue)
+            assert(r.newPerStep.toSeq == csr.newPerStep.toSeq, clue)
+            assert(count == r.totalActivated, clue)
+          }
+          // newPerStep counts activationStep per step; no seed gives Array(0).
+          val last = (0 +: csr.activationStep.toSeq).max
+          assert(csr.newPerStep.toSeq == (0 to last).map(t => csr.activationStep.count(_ == t)))
+        }
+      }
+      sawSelfLoop ||= ic.exists(e => e._1 == e._2)
+      sawDuplicate ||= dups.nonEmpty
+      sawIsolated ||= (0 until n).exists(v => !ic.exists(e => e._1 == v || e._2 == v))
+      sawZero ||= ic.exists(_._3 == 0.0)
+      sawOne ||= ic.exists(_._3 == 1.0)
+    }
+    assert(sawSelfLoop && sawDuplicate && sawIsolated && sawZero && sawOne)
   }
 }

@@ -79,9 +79,9 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
   }
 
   test("targets within a row are sorted") {
-    val g = CsrGraph.fromTriples(4, Seq((0, 3, 1.0), (0, 1, 2.0), (0, 2, 3.0)))
+    val g = CsrGraph.fromTriples(4, Seq((0, 3, 1.0), (0, 1, 0.2), (0, 2, 0.3)))
     assert(g.targets.toSeq == Seq(1, 2, 3))
-    assert(g.weights.toSeq == Seq(2.0, 3.0, 1.0))
+    assert(g.weights.toSeq == Seq(0.2, 0.3, 1.0))
   }
 
   test("duplicate (src, dst) pairs are dropped keeping the first weight") {
@@ -105,6 +105,12 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
     val e = intercept[IllegalArgumentException](
       CsrGraph.fromTriples(3, Seq((2, 0, -0.25), (0, 1, 0.5))))
     assert(e.getMessage.contains("(2,0)"))
+  }
+
+  test("weights above 1 are rejected, naming the edge") {
+    val e = intercept[IllegalArgumentException](
+      CsrGraph.fromTriples(3, Seq((1, 2, 0.5), (0, 1, 1.5))))
+    assert(e.getMessage.contains("(0,1)"))
   }
 
   test("zero and unit weights are accepted") {
@@ -148,10 +154,14 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
       new CsrGraph(1, Array(0, 1), Array(0), Array.emptyDoubleArray))
   }
 
+  /** An edge DataFrame's CSR: collected by `toTriples`, then `fromTriples`. */
+  private def fromDataFrame(df: org.apache.spark.sql.DataFrame, n: Int): CsrGraph =
+    CsrGraph.fromTriples(n, GraphOps.toTriples(df))
+
   test("fromDataFrame equals fromTriples on the same edges") {
     import spark.implicits._
     val df = triangle.toDF("src", "dst", "weight")
-    val a = CsrGraph.fromDataFrame(df, 3)
+    val a = fromDataFrame(df, 3)
     val b = CsrGraph.fromTriples(3, triangle)
     assert(a.offsets.toSeq == b.offsets.toSeq)
     assert(a.targets.toSeq == b.targets.toSeq)
@@ -162,15 +172,15 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
     import spark.implicits._
     // 4294967297 = 2^32 + 1 would wrap to 1 under an Int cast.
     val wide = Seq((0L, 4294967297L, 0.5)).toDF("src", "dst", "weight")
-    assertThrows[IllegalArgumentException](CsrGraph.fromDataFrame(wide, 3))
+    assertThrows[IllegalArgumentException](fromDataFrame(wide, 3))
     val negative = Seq((-1L, 0L, 0.5)).toDF("src", "dst", "weight")
-    assertThrows[IllegalArgumentException](CsrGraph.fromDataFrame(negative, 3))
+    assertThrows[IllegalArgumentException](fromDataFrame(negative, 3))
   }
 
   test("fromDataFrame accepts in-range long ids") {
     import spark.implicits._
     val df = triangle.map { case (u, v, w) => (u.toLong, v.toLong, w) }.toDF("src", "dst", "weight")
-    assertSameCsr(CsrGraph.fromDataFrame(df, 3), CsrGraph.fromTriples(3, triangle))
+    assertSameCsr(fromDataFrame(df, 3), CsrGraph.fromTriples(3, triangle))
   }
 
   test("fromTriples equals the reference builder on random inputs with duplicates") {

@@ -14,7 +14,7 @@ class DataFrameICSpec extends SparkSpec {
     val undirected = Generators.erdosRenyi(spark, 60, 0.06, seed = 81)
     val directed = GraphOps.symmetrize(undirected)
     val weighted = EdgeWeights(ewm, directed, seed = 82).persist()
-    (weighted, CsrGraph.fromDataFrame(weighted, 60))
+    (weighted, CsrGraph.fromTriples(60, GraphOps.toTriples(weighted)))
   }
 
   for (ewm <- EdgeWeights.All) {

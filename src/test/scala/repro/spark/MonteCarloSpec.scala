@@ -13,7 +13,7 @@ class MonteCarloSpec extends SparkSpec {
   private lazy val g: CsrGraph = {
     val undirected = Generators.erdosRenyi(spark, 150, 0.04, seed = 61)
     val weighted = EdgeWeights.weightedCascade(GraphOps.symmetrize(undirected))
-    CsrGraph.fromDataFrame(weighted, 150)
+    CsrGraph.fromTriples(150, GraphOps.toTriples(weighted))
   }
   private lazy val boxed = BoxedFrontier.buildAdjacency(g.edgeTriples)
   private val seeds = Array(0, 5, 9)
