@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Rng, SimResult}
+import repro.core.{Rng, SimResult, Simulator}
 import scala.collection.mutable
 
 /** The "fast pure Python" rung of the paper's ladder: the *same* frontier
@@ -30,16 +30,25 @@ object BoxedFrontier {
 
   private val ignore: (Int, Int) => Unit = (_, _) => ()
 
-  /** One IC trial; same random world as the CSR engine (identical output). */
-  def simulateIC(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): SimResult =
+  /** One IC trial; same random world as the CSR engine (identical output).
+    * Throws if a seed lies outside [0, n).
+    */
+  def simulateIC(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): SimResult = {
+    Simulator.requireSeeds(n, seeds)
     SimResult.record(n)(runIC(adj, seeds, trial, seed, _))
+  }
 
   /** One LT trial; forward-push accumulation, same thresholds as CSR. */
-  def simulateLT(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): SimResult =
+  def simulateLT(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): SimResult = {
+    Simulator.requireSeeds(n, seeds)
     SimResult.record(n)(runLT(adj, seeds, trial, seed, _))
+  }
 
   /** Activated-node count for one IC trial — the σ̂ hot path; the "pure
-    * Python" CELF backend computes `len(activated)`.
+    * Python" CELF backend computes `len(activated)`. The adjacency does not
+    * know n, so the caller must keep the seeds in [0, n): a seed outside it
+    * is counted as one more isolated node. [[repro.im.BoxedEstimator]]
+    * checks them once per σ̂.
     */
   def activatedCountIC(adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long): Int =
     runIC(adj, seeds, trial, seed, ignore)

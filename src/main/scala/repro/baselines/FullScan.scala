@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Rng, SimResult}
+import repro.core.{Rng, SimResult, Simulator}
 import scala.collection.mutable
 
 /** The NDlib rung of the paper's ladder: each time step loops over **every**
@@ -69,9 +69,11 @@ object FullScan {
     runLT(n, adj, seeds, trial, seed, ignore)
 
   /** The IC full-scan loop: calls `f(node, step)` for each seed and each
-    * activation, and returns the activated count.
+    * activation, and returns the activated count. Throws if a seed lies
+    * outside [0, n).
     */
   private def runIC(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long, f: (Int, Int) => Unit): Int = {
+    Simulator.requireSeeds(n, seeds)
     val status = mutable.HashMap.empty[Int, Int]
     (0 until n).foreach(v => status(v) = Inactive)
     var count = 0
@@ -115,6 +117,7 @@ object FullScan {
     * on every call.
     */
   private def runLT(n: Int, adj: Adjacency, seeds: Seq[Int], trial: Long, seed: Long, f: (Int, Int) => Unit): Int = {
+    Simulator.requireSeeds(n, seeds)
     val radj: Adjacency = mutable.HashMap.empty
     for ((u, row) <- adj; (v, w) <- row)
       radj.getOrElseUpdate(v, mutable.HashMap.empty).update(u, w)

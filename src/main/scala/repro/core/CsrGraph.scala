@@ -62,18 +62,6 @@ final class CsrGraph(
       u <- 0 until n
       i <- offsets(u) until offsets(u + 1)
     } yield (u, targets(i), weights(i))
-
-  /** Graph with every weight replaced by `f(src, dst, w)`; same structure. */
-  def mapWeights(f: (Int, Int, Double) => Double): CsrGraph = {
-    val w2 = new Array[Double](m)
-    var u = 0
-    while (u < n) {
-      var i = offsets(u)
-      while (i < offsets(u + 1)) { w2(i) = f(u, targets(i), weights(i)); i += 1 }
-      u += 1
-    }
-    new CsrGraph(n, offsets, targets, w2)
-  }
 }
 
 object CsrGraph {

@@ -7,50 +7,50 @@ package repro.core
   * fresh-allocation-per-trial implementation pays O(n) allocation + zeroing
   * per cascade, which swamps the real work exactly when cascades are tiny —
   * the case Observation 1 is about. A simulator allocates per-graph state
-  * once and uses an epoch-marking scheme (a per-node token compared to a
-  * monotonically increasing counter) so *nothing* is reset between trials:
-  * per-trial cost is strictly proportional to the edges incident to
-  * activated nodes, plus one store per step.
+  * once and resets *nothing* between trials, so per-trial cost is strictly
+  * proportional to the edges incident to activated nodes.
   *
-  * After a trial the activated nodes sit in `queue` in activation order, and
-  * step t's frontier is `queue[ends(t-1), ends(t))` (step 0, the seeds, is
-  * `queue[0, ends(0))`). [[simulate]] and [[foreachActivation]] read the
-  * trial back from there instead of from an O(n) per-node array.
+  * `mark` holds each node's activation step, offset by a per-trial `base`:
+  * a node activated at step t of the current trial has `mark == base + t`,
+  * and a node with `mark < base` is not yet active in it. Each trial raises
+  * `base` by n + 1. A step is at most n - 1 (every step activates at least
+  * one node), so no mark an earlier trial left can reach the current
+  * `base`; the Long lasts 2^63 / (n + 1) trials.
+  *
+  * After a trial the activated nodes sit in `queue` in activation (BFS)
+  * order, so their steps are non-decreasing; [[foreachActivation]] reads
+  * the trial back from `queue` and `mark` in O(activated).
   *
   * Not thread-safe; create one per thread/partition.
   */
 sealed abstract class Simulator(protected val g: CsrGraph) {
-  /** Epoch in which each node was last activated. */
+  /** `base + t` for a node activated at step t of the current trial. */
   protected final val mark = new Array[Long](g.n)
   /** Activated nodes of the current trial, in activation order. */
   protected final val queue = new Array[Int](g.n)
-  /** `ends(t)` is the queue end of step t's frontier. Every step after 0
-    * activates at least one node except the last, empty one, so at most
-    * n + 1 entries are written.
-    */
-  protected final val ends = new Array[Int](g.n + 1)
-  protected final var epoch = 0L
+  /** The mark of step 0 in the current trial. */
+  protected final var base = 0L
 
   /** Number of nodes activated in trial `trial` — the model's traversal
-    * loop. It starts with [[begin]], and records each step t's queue end in
-    * `ends(t)`, including the final step that activates nothing.
+    * loop. It starts with [[begin]], and marks a node activated by the
+    * out-edges of `u` with `mark(u) + 1`.
     */
   def activatedCount(seeds: Array[Int], trial: Long): Int
 
-  /** Start a trial: advance the epoch, mark and queue the distinct seeds,
-    * and return their count, which is also `ends(0)`.
+  /** Start a trial: raise `base`, mark and queue the distinct seeds at step
+    * 0, and return their count. Throws if a seed lies outside [0, n).
     */
   protected final def begin(seeds: Array[Int]): Int = {
-    epoch += 1
-    val e = epoch
+    base += g.n + 1
+    val b = base
     var hi = 0
     var i = 0
     while (i < seeds.length) {
       val s = seeds(i)
-      if (mark(s) != e) { mark(s) = e; queue(hi) = s; hi += 1 }
+      if (s < 0 || s >= g.n) throw Simulator.seedOutOfRange(s, g.n)
+      if (mark(s) < b) { mark(s) = b; queue(hi) = s; hi += 1 }
       i += 1
     }
-    ends(0) = hi
     hi
   }
 
@@ -68,11 +68,10 @@ sealed abstract class Simulator(protected val g: CsrGraph) {
     */
   final def foreachActivation(seeds: Array[Int], trial: Long)(f: (Int, Int) => Unit): Unit = {
     val count = activatedCount(seeds, trial)
-    var t = 0
     var i = 0
     while (i < count) {
-      while (ends(t) <= i) t += 1
-      f(queue(i), t)
+      val v = queue(i)
+      f(v, (mark(v) - base).toInt)
       i += 1
     }
   }
@@ -80,6 +79,16 @@ sealed abstract class Simulator(protected val g: CsrGraph) {
   /** Run trial `trial` with per-node activation steps (O(n) output). */
   final def simulate(seeds: Array[Int], trial: Long): SimResult =
     SimResult.record(g.n)(foreachActivation(seeds, trial))
+}
+
+object Simulator {
+
+  /** The error for a seed outside [0, n), naming the seed. */
+  private[repro] def seedOutOfRange(s: Int, n: Int) = new IllegalArgumentException(s"seed $s is outside [0, $n)")
+
+  /** Throws [[seedOutOfRange]] for the first seed outside [0, n). */
+  private[repro] def requireSeeds(n: Int, seeds: Seq[Int]): Unit =
+    seeds.find(s => s < 0 || s >= n).foreach(s => throw seedOutOfRange(s, n))
 }
 
 /** The independent-cascade kernel; see [[IndependentCascade]]. */
@@ -91,38 +100,33 @@ final class IcSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
     val weights = g.weights
     val mark = this.mark
     val queue = this.queue
-    val ends = this.ends
     var hi = begin(seeds)
-    val e = epoch
+    val b = base
     var lo = 0
-    var t = 0
     while (lo < hi) {
-      val frontierEnd = hi
-      while (lo < frontierEnd) {
-        val u = queue(lo); lo += 1
-        var j = offsets(u)
-        val end = offsets(u + 1)
-        while (j < end) {
-          val v = targets(j)
-          if (mark(v) != e && Rng.coin(seed, trial, u, v) < weights(j)) {
-            mark(v) = e
-            queue(hi) = v; hi += 1
-          }
-          j += 1
+      val u = queue(lo); lo += 1
+      val next = mark(u) + 1
+      var j = offsets(u)
+      val end = offsets(u + 1)
+      while (j < end) {
+        val v = targets(j)
+        if (mark(v) < b && Rng.coin(seed, trial, u, v) < weights(j)) {
+          mark(v) = next
+          queue(hi) = v; hi += 1
         }
+        j += 1
       }
-      t += 1
-      ends(t) = hi
     }
     hi
   }
 }
 
 /** The linear-threshold kernel; see [[LinearThreshold]]. The weight
-  * accumulator and the cached threshold use the same epoch marking as the
-  * activation mark, so stale values from earlier trials are never read, and
-  * each node's threshold is hashed once per trial however many pushes it
-  * receives. Rejects a graph in which some node's in-weight sum exceeds 1.
+  * accumulator and the cached threshold are valid while `accMark` equals the
+  * current trial's `base`, so stale values from earlier trials are never
+  * read, and each node's threshold is hashed once per trial however many
+  * pushes it receives. Rejects a graph in which some node's in-weight sum
+  * exceeds 1.
   */
 final class LtSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
   locally {
@@ -130,9 +134,9 @@ final class LtSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
     val v = sums.indexWhere(_ > 1 + 1e-9)
     require(v < 0, s"LT needs every in-weight sum <= 1, but node $v has ${sums(v)}")
   }
-  private val accMark = new Array[Long](g.n) // epoch when acc and thr were last reset
+  private val accMark = new Array[Long](g.n) // base of the trial that last reset acc and thr
   private val acc = new Array[Double](g.n)
-  private val thr = new Array[Double](g.n) // θ_v, drawn on the first push of an epoch
+  private val thr = new Array[Double](g.n) // θ_v, drawn on the first push of a trial
 
   def activatedCount(seeds: Array[Int], trial: Long): Int = {
     val offsets = g.offsets
@@ -140,40 +144,34 @@ final class LtSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
     val weights = g.weights
     val mark = this.mark
     val queue = this.queue
-    val ends = this.ends
     val accMark = this.accMark
     val acc = this.acc
     val thr = this.thr
     var hi = begin(seeds)
-    val e = epoch
+    val b = base
     var lo = 0
-    var t = 0
     while (lo < hi) {
-      val frontierEnd = hi
-      while (lo < frontierEnd) {
-        val u = queue(lo); lo += 1
-        var j = offsets(u)
-        val end = offsets(u + 1)
-        while (j < end) {
-          val v = targets(j)
-          if (mark(v) != e) {
-            if (accMark(v) != e) {
-              accMark(v) = e
-              acc(v) = 0.0
-              thr(v) = Rng.threshold(seed, trial, v)
-            }
-            val cur = acc(v) + weights(j)
-            acc(v) = cur
-            if (cur >= thr(v)) {
-              mark(v) = e
-              queue(hi) = v; hi += 1
-            }
+      val u = queue(lo); lo += 1
+      val next = mark(u) + 1
+      var j = offsets(u)
+      val end = offsets(u + 1)
+      while (j < end) {
+        val v = targets(j)
+        if (mark(v) < b) {
+          if (accMark(v) != b) {
+            accMark(v) = b
+            acc(v) = 0.0
+            thr(v) = Rng.threshold(seed, trial, v)
           }
-          j += 1
+          val cur = acc(v) + weights(j)
+          acc(v) = cur
+          if (cur >= thr(v)) {
+            mark(v) = next
+            queue(hi) = v; hi += 1
+          }
         }
+        j += 1
       }
-      t += 1
-      ends(t) = hi
     }
     hi
   }

@@ -18,8 +18,10 @@ import org.apache.spark.sql.functions._
   */
 object Generators {
 
-  /** xxhash64 of `cols` mapped to a uniform double in [0, 1). */
-  private def unitHash(cols: Column*): Column =
+  /** xxhash64 of `cols` mapped to a uniform double in [0, 1); also draws
+    * the TV and UR edge weights ([[repro.weights.EdgeWeights]]).
+    */
+  private[repro] def unitHash(cols: Column*): Column =
     shiftrightunsigned(xxhash64(cols: _*), 11) * lit(1.1102230246251565e-16)
 
   /** Erdős–Rényi G(n, p): every unordered pair kept independently w.p. p.

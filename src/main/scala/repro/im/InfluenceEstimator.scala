@@ -2,7 +2,7 @@ package repro.im
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{BoxedFrontier, FullScan}
-import repro.core.{CsrGraph, IndependentCascade, LinearThreshold, Model}
+import repro.core.{CsrGraph, IndependentCascade, LinearThreshold, Model, Simulator}
 import repro.spark.MonteCarlo
 
 /** Monte-Carlo influence function σ̂(S) with a pluggable simulation backend —
@@ -37,14 +37,16 @@ final class CsrEstimator(g: CsrGraph, trials: Int, seed: Long, model: Model = In
 
 /** σ̂ as the mean activated count over trials [0, trials) — the one trial
   * loop of the two baseline estimators. Each picks its per-trial `count`
-  * for its model once, when it is built.
+  * for its model once, when it is built. Throws if a seed lies outside
+  * [0, n).
   */
-sealed abstract class TrialMeanEstimator(trials: Int) extends InfluenceEstimator {
+sealed abstract class TrialMeanEstimator(n: Int, trials: Int) extends InfluenceEstimator {
   require(trials > 0, "trials must be positive")
 
   protected val count: TrialMeanEstimator.Count
 
   final def sigma(seeds: Seq[Int]): Double = {
+    Simulator.requireSeeds(n, seeds)
     var sum = 0L
     var t = 0
     while (t < trials) { sum += count(seeds, t.toLong); t += 1 }
@@ -62,7 +64,7 @@ object TrialMeanEstimator {
 
 /** σ̂ via the boxed-frontier baseline (the pure-Python analog). */
 final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, model: Model = IndependentCascade)
-    extends TrialMeanEstimator(trials) {
+    extends TrialMeanEstimator(n, trials) {
   val name: String = "boxed"
   protected val count: TrialMeanEstimator.Count = {
     val adj = BoxedFrontier.buildAdjacency(triples)
@@ -77,7 +79,7 @@ final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int
   * reports as not finishing CELF within its time budget.
   */
 final class FullScanEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, model: Model = IndependentCascade)
-    extends TrialMeanEstimator(trials) {
+    extends TrialMeanEstimator(n, trials) {
   val name: String = "fullscan"
   protected val count: TrialMeanEstimator.Count = {
     val adj = FullScan.buildAdjacency(triples)

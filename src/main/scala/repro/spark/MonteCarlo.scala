@@ -1,8 +1,8 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{CsrGraph, IndependentCascade, Model}
+import repro.core.{CsrGraph, IndependentCascade, Model, Simulator}
 
 /** Spark-distributed Monte-Carlo driver for the diffusion engines.
   *
@@ -30,26 +30,15 @@ object MonteCarlo {
       seed: Long,
       model: Model = IndependentCascade,
   ): DataFrame = {
-    require(trials > 0, "trials must be positive")
     import spark.implicits._
-    val bg = spark.sparkContext.broadcast(g)
-    val bSeeds = spark.sparkContext.broadcast(seeds)
-    spark
-      .range(trials)
-      .as[Long]
-      .mapPartitions { it =>
-        val sim = model.simulator(bg.value, seed)
-        val s = bSeeds.value
-        // Rows are read off the simulator's queue in O(activated); the next
-        // trial overwrites that state, so each trial's rows are materialised
-        // before the next trial is pulled.
-        it.flatMap { trial =>
-          val rows = Array.newBuilder[(Long, Int, Int)]
-          sim.foreachActivation(s, trial)((node, step) => rows += ((trial, node, step)))
-          rows.result()
-        }
-      }
-      .toDF("trial", "node", "step")
+    // Rows are read off the simulator's queue in O(activated); the next
+    // trial overwrites that state, so each trial's rows are materialised
+    // before the next trial is pulled.
+    perTrial(spark, g, trials, seed, model) { (sim, trial) =>
+      val rows = Array.newBuilder[(Long, Int, Int)]
+      sim.foreachActivation(seeds, trial)((node, step) => rows += ((trial, node, step)))
+      rows.result()
+    }.toDF("trial", "node", "step")
   }
 
   /** Per-trial activated-node counts: (trial, activated). */
@@ -61,21 +50,25 @@ object MonteCarlo {
       seed: Long,
       model: Model = IndependentCascade,
   ): DataFrame = {
+    import spark.implicits._
+    perTrial(spark, g, trials, seed, model)((sim, trial) => Iterator.single((trial, sim.activatedCount(seeds, trial))))
+      .toDF("trial", "activated")
+  }
+
+  /** The one Spark fan-out: broadcasts `g`, spreads trials [0, trials) over
+    * `spark.range`'s partitions and emits `rows(sim, trial)` for each trial.
+    * One reusable-state simulator per partition amortizes its allocation
+    * over the partition's trials, matching the local hot path.
+    */
+  private def perTrial[T: Encoder](spark: SparkSession, g: CsrGraph, trials: Int, seed: Long, model: Model)(
+      rows: (Simulator, Long) => IterableOnce[T]): Dataset[T] = {
     require(trials > 0, "trials must be positive")
     import spark.implicits._
     val bg = spark.sparkContext.broadcast(g)
-    val bSeeds = spark.sparkContext.broadcast(seeds)
-    spark
-      .range(trials)
-      .as[Long]
-      .mapPartitions { it =>
-        // One reusable-state simulator per partition: allocation amortizes
-        // over the partition's trials, matching the local hot path.
-        val sim = model.simulator(bg.value, seed)
-        val s = bSeeds.value
-        it.map(trial => (trial, sim.activatedCount(s, trial)))
-      }
-      .toDF("trial", "activated")
+    spark.range(trials).as[Long].mapPartitions { it =>
+      val sim = model.simulator(bg.value, seed)
+      it.flatMap(trial => rows(sim, trial))
+    }
   }
 
   /** Distributed σ̂(S): mean activated count over `trials` worlds.

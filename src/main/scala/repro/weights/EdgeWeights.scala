@@ -1,7 +1,8 @@
 package repro.weights
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.graph.Generators.unitHash
 
 /** Edge-weight models (EWM) from the paper's benchmarks, as DataFrame
   * transforms over a directed edge list `(src, dst)`.
@@ -21,9 +22,6 @@ object EdgeWeights {
 
   /** Names of the three models, in the paper's row order. */
   val All: Seq[String] = Seq("TV", "UR", "WC")
-
-  private def unitHash(cols: Column*): Column =
-    shiftrightunsigned(xxhash64(cols: _*), 11) * lit(1.1102230246251565e-16)
 
   /** Trivalency: weight uniformly from {0.1, 0.01, 0.001}. */
   def trivalency(edges: DataFrame, seed: Long): DataFrame = {

@@ -3,6 +3,7 @@ package repro.baselines
 import repro.{PropHelpers, SparkSpec}
 import repro.core.{CsrGraph, IndependentCascade, LinearThreshold, Model, SimResult}
 import repro.graph.{Generators, GraphOps}
+import repro.im.{BoxedEstimator, CsrEstimator, FullScanEstimator}
 import repro.weights.EdgeWeights
 
 /** The reproduction's backbone: all three implementation rungs of the
@@ -156,6 +157,39 @@ class CrossImplSpec extends SparkSpec with PropHelpers {
     assert(boxed(2).toSet == Set((1, 0.3)))
     assert(scan(0).toSet == Set((1, 0.1), (2, 0.2)))
     assert(scan(2).toSet == Set((1, 0.3)))
+  }
+
+  test("every entry point that knows n rejects a seed outside [0, n), naming it") {
+    val n = 3
+    val triples = Seq((0, 1, 1.0), (1, 2, 1.0))
+    val g = CsrGraph.fromTriples(n, triples)
+    val boxed = BoxedFrontier.buildAdjacency(triples)
+    val scan = FullScan.buildAdjacency(triples)
+    for (bad <- Seq(-1, n); (name, model) <- Seq(("IC", IndependentCascade), ("LT", LinearThreshold))) {
+      val seeds = Array(0, bad)
+      val ic = model == IndependentCascade
+      val entryPoints = Seq[(String, () => Any)](
+        "CSR simulate" -> (() => model.simulate(g, seeds, 0, rngSeed)),
+        "CSR activatedCount" -> (() => model.simulator(g, rngSeed).activatedCount(seeds, 0)),
+        "CSR meanInfluence" -> (() => model.meanInfluence(g, seeds, 2, rngSeed)),
+        "boxed simulate" -> (() =>
+          if (ic) BoxedFrontier.simulateIC(n, boxed, seeds.toSeq, 0, rngSeed)
+          else BoxedFrontier.simulateLT(n, boxed, seeds.toSeq, 0, rngSeed)),
+        "full-scan simulate" -> (() =>
+          if (ic) FullScan.simulateIC(n, scan, seeds.toSeq, 0, rngSeed)
+          else FullScan.simulateLT(n, scan, seeds.toSeq, 0, rngSeed)),
+        "full-scan activatedCount" -> (() =>
+          if (ic) FullScan.activatedCountIC(n, scan, seeds.toSeq, 0, rngSeed)
+          else FullScan.activatedCountLT(n, scan, seeds.toSeq, 0, rngSeed)),
+        "CsrEstimator" -> (() => new CsrEstimator(g, 2, rngSeed, model).sigma(seeds.toSeq)),
+        "BoxedEstimator" -> (() => new BoxedEstimator(n, triples, 2, rngSeed, model).sigma(seeds.toSeq)),
+        "FullScanEstimator" -> (() => new FullScanEstimator(n, triples, 2, rngSeed, model).sigma(seeds.toSeq)),
+      )
+      for ((entry, run) <- entryPoints) withClue(s"$name $entry, seed $bad: ") {
+        val e = intercept[IllegalArgumentException](run())
+        assert(e.getMessage == s"seed $bad is outside [0, $n)")
+      }
+    }
   }
 
   /** Each rung's one-trial `(simulate, activatedCount)` for `model`, CSR first. */

@@ -128,17 +128,6 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
     assert(g.edgeTriples.toSet == triangle.toSet)
   }
 
-  test("mapWeights rewrites every weight and preserves structure") {
-    val g = CsrGraph.fromTriples(3, triangle).mapWeights((_, _, w) => w * 2)
-    assert(g.weights.toSeq == Seq(1.0, 0.5, 1.5))
-    assert(g.targets.toSeq == Seq(1, 2, 0))
-  }
-
-  test("mapWeights sees the correct (src, dst) for each edge") {
-    val g = CsrGraph.fromTriples(3, triangle).mapWeights((u, v, _) => u * 10.0 + v)
-    assert(g.edgeTriples.toSet == Set((0, 1, 1.0), (1, 2, 12.0), (2, 0, 20.0)))
-  }
-
   test("constructor validates offsets length") {
     assertThrows[IllegalArgumentException](
       new CsrGraph(2, Array(0, 0), Array.emptyIntArray, Array.emptyDoubleArray))

@@ -145,7 +145,7 @@ class IndependentCascadeSpec extends AnyFunSuite with PropHelpers {
       val base = Seq.fill(rnd.nextInt(60))((rnd.nextInt(n), rnd.nextInt(n), rnd.nextDouble() * 0.5))
         .filter(e => e._1 != e._2)
       val lo = CsrGraph.fromTriples(n, base)
-      val hi = lo.mapWeights((_, _, w) => math.min(1.0, w + 0.3))
+      val hi = CsrGraph.fromTriples(n, base.map { case (u, v, w) => (u, v, math.min(1.0, w + 0.3)) })
       val seeds = Array(rnd.nextInt(n))
       val trial = rnd.nextInt(100).toLong
       val a = IndependentCascade.simulate(lo, seeds, trial, 13).activatedSet

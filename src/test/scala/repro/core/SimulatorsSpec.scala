@@ -5,10 +5,10 @@ import repro.PropHelpers
 import repro.baselines.BoxedFrontier
 import repro.im.BoxedEstimator
 
-/** Reusable-state simulators vs the boxed-frontier baseline. The
-  * epoch-marking scheme and the per-step `ends` record must never leak state
-  * across trials or across changing seed sets — every test interleaves calls
-  * to provoke staleness.
+/** Reusable-state simulators vs the boxed-frontier baseline. The marks,
+  * which hold each node's activation step above a per-trial base, must never
+  * leak state across trials or across changing seed sets — every test
+  * interleaves calls to provoke staleness.
   */
 class SimulatorsSpec extends AnyFunSuite with PropHelpers {
 
@@ -100,8 +100,8 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
 
   /** One simulator instance interleaves `simulate` and `activatedCount` with
     * changing seed sets and repeated trial indices; every `simulate` must
-    * match the boxed baseline step for step, so stale `ends` or epoch state
-    * from an earlier call would show.
+    * match the boxed baseline step for step, so a stale mark from an earlier
+    * call would show as a wrong step or a missed activation.
     */
   private def interleaved(model: Model, graph: scala.util.Random => CsrGraph): Unit =
     forAllRandom(iters = 40) { rnd =>
