@@ -16,14 +16,15 @@ package repro.core
   * input order wins. Ids outside [0, n) and weights that are NaN or outside
   * [0, 1] are rejected, naming the edge. An edge DataFrame is built through
   * [[repro.graph.GraphOps.toTriples]], which rejects ids outside the Int
-  * range.
+  * range. The constructor is private to `repro.core`, so code elsewhere
+  * builds every graph through these checks.
   *
   * @param n       number of nodes; node ids are 0 until n
   * @param offsets length n+1; CSR row pointers into `targets`/`weights`
   * @param targets length m; out-neighbor ids, sorted within each row
   * @param weights length m; `weights(i)` is p(src, targets(i))
   */
-final class CsrGraph(
+final class CsrGraph private[core] (
     val n: Int,
     val offsets: Array[Int],
     val targets: Array[Int],
@@ -39,14 +40,6 @@ final class CsrGraph(
 
   /** Out-degree of node v. */
   @inline def outDegree(v: Int): Int = offsets(v + 1) - offsets(v)
-
-  /** In-degrees of all nodes (single pass over the edge array). */
-  def inDegrees: Array[Int] = {
-    val d = new Array[Int](n)
-    var i = 0
-    while (i < targets.length) { d(targets(i)) += 1; i += 1 }
-    d
-  }
 
   /** Sum of incoming edge weights per node (LT feasibility: must be <= 1). */
   def inWeightSums: Array[Double] = {

@@ -44,13 +44,7 @@ object Rng {
   @inline def threshold(seed: Long, trial: Long, v: Int): Double =
     toUnit(mix64(seed ^ mix64(~trial ^ mix64(0x5151515151515151L ^ v.toLong))))
 
-  /** Uniform [0,1) value for a keyed draw (used by generators / utilities). */
+  /** Uniform [0,1) value for a keyed draw (Table 1's seed sample). */
   @inline def unit(seed: Long, key: Long): Double =
     toUnit(mix64(seed ^ mix64(key)))
-
-  /** Uniform integer in [0, bound) for a keyed draw. */
-  @inline def int(seed: Long, key: Long, bound: Int): Int = {
-    require(bound > 0, s"bound must be positive, got $bound")
-    (unit(seed, key) * bound).toInt.min(bound - 1)
-  }
 }

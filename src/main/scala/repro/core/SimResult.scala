@@ -15,9 +15,6 @@ final case class SimResult(activationStep: Array[Int], newPerStep: Array[Int]) {
   /** Set of activated node ids — for cross-implementation equality tests. */
   def activatedSet: Set[Int] =
     activationStep.zipWithIndex.collect { case (s, v) if s >= 0 => v }.toSet
-
-  /** Cumulative activated count after each step (Figure 3's y-axis). */
-  def cumulativePerStep: Array[Int] = newPerStep.scanLeft(0)(_ + _).tail
 }
 
 object SimResult {

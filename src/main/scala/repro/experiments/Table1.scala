@@ -18,7 +18,7 @@ import repro.weights.EdgeWeights
 object Table1 {
 
   /** One benchmark cell grid row, with the adaptive trial count each rung's
-    * timing used (0 when unknown).
+    * timing used.
     */
   final case class Row(
       graph: String,
@@ -26,9 +26,9 @@ object Table1 {
       csrPerTrialMs: Double,
       boxedPerTrialMs: Double,
       fullScanPerTrialMs: Double,
-      csrTrials: Int = 0,
-      boxedTrials: Int = 0,
-      fullScanTrials: Int = 0,
+      csrTrials: Int,
+      boxedTrials: Int,
+      fullScanTrials: Int,
   ) {
     private def norm(x: Double): Long = math.round(x / List(csrPerTrialMs, boxedPerTrialMs, fullScanPerTrialMs).min)
     def csrNorm: Long = norm(csrPerTrialMs)

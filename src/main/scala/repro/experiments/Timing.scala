@@ -7,7 +7,7 @@ package repro.experiments
   * absolute time, is the reported quantity (Table 1 is normalized per row),
   * we measure *per-trial* time with an adaptive trial count: run doubling
   * batches until at least `minTimeMs` of wall clock or `maxTrials` trials,
-  * after `warmup` unmeasured trials (JIT). Deterministic work per trial is
+  * after three unmeasured trials (JIT). Deterministic work per trial is
   * preserved by passing the true trial index to the runner.
   */
 object Timing {
@@ -15,17 +15,13 @@ object Timing {
   /** Measured cell: per-trial milliseconds and how many trials that used. */
   final case class PerTrial(ms: Double, trials: Int)
 
+  private val Warmup = 3
+
   /** Time `runTrial` adaptively; `runTrial(t)` must execute trial index t. */
-  def perTrialMs(
-      runTrial: Long => Unit,
-      maxTrials: Int = 1000,
-      minTimeMs: Long = 1500,
-      warmup: Int = 3,
-  ): PerTrial = {
+  def perTrialMs(runTrial: Long => Unit, maxTrials: Int = 1000, minTimeMs: Long = 1500): PerTrial = {
     require(maxTrials > 0, "maxTrials must be positive")
     var t = 0L
-    var i = 0
-    while (i < warmup) { runTrial(t); t += 1; i += 1 }
+    while (t < Warmup) { runTrial(t); t += 1 }
     var measured = 0
     var elapsedNanos = 0L
     var batch = 1

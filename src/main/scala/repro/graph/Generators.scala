@@ -106,6 +106,11 @@ object Generators {
     * NetworkX's `random_regular_graph`. Built on the driver (sequential by
     * nature) and lifted to a DataFrame.
     *
+    * The repair can get stuck, and does so more often the denser the graph.
+    * A stuck attempt restarts the whole construction from the same `Random`,
+    * at most `MaxAttempts` times, and a graph with 2k >= n is the complement
+    * of a random (n-1-k)-regular graph.
+    *
     * @param n number of nodes; must be even
     * @param k degree; k < n
     */
@@ -113,12 +118,32 @@ object Generators {
     require(n % 2 == 0, s"matching construction needs even n, got $n")
     require(k > 0 && k < n, s"need 0 < k < n, got k=$k n=$n")
     val rnd = new scala.util.Random(seed)
+    val sparseK = if (2 * k >= n) n - 1 - k else k
+    val sparse = Iterator.fill(MaxAttempts)(matchings(n, sparseK, rnd)).collectFirst { case Some(e) => e }
+      .getOrElse(throw new IllegalArgumentException(s"regular-graph repair did not converge (n=$n k=$k)"))
+    val edges =
+      if (sparseK == k) sparse
+      else {
+        val skip = sparse.toSet
+        for (a <- 0 until n; b <- a + 1 until n if !skip((a, b))) yield (a, b)
+      }
+    import spark.implicits._
+    edges.toDF("src", "dst")
+  }
+
+  private val MaxAttempts = 10
+
+  /** One attempt at a k-regular graph's edges `(min, max)` as the union of k
+    * perfect matchings; None if a matching's swap repair does not converge.
+    */
+  private def matchings(n: Int, k: Int, rnd: scala.util.Random): Option[Seq[(Int, Int)]] = {
     val used = new java.util.HashSet[Long]()
     @inline def key(a: Int, b: Int): Long =
       (math.min(a, b).toLong << 32) | (math.max(a, b).toLong & 0xffffffffL)
     val edges = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-
-    for (_ <- 0 until k) {
+    var converged = true
+    var m = 0
+    while (converged && m < k) {
       // One perfect matching: shuffle the nodes, pair consecutive entries.
       val perm = rnd.shuffle((0 until n).toVector).toArray
       val pairs = Array.tabulate(n / 2)(i => (perm(2 * i), perm(2 * i + 1)))
@@ -128,10 +153,10 @@ object Generators {
       // or j = (c, d) of this matching, which b != c and a != d rule out.
       var attempts = 0
       var dirty = true
-      while (dirty) {
+      while (converged && dirty) {
         dirty = false
         var i = 0
-        while (i < pairs.length) {
+        while (converged && i < pairs.length) {
           val (a, b) = pairs(i)
           if (used.contains(key(a, b))) {
             val j = rnd.nextInt(pairs.length)
@@ -141,14 +166,14 @@ object Generators {
             if (ok) { pairs(i) = (a, c); pairs(j) = (b, d) }
             dirty = true
             attempts += 1
-            require(attempts < 100 * n, s"regular-graph repair did not converge (n=$n k=$k)")
+            converged = attempts < 100 * n
           }
           i += 1
         }
       }
       pairs.foreach { case (a, b) => used.add(key(a, b)); edges += ((math.min(a, b), math.max(a, b))) }
+      m += 1
     }
-    import spark.implicits._
-    edges.toSeq.toDF("src", "dst")
+    if (converged) Some(edges.toSeq) else None
   }
 }

@@ -1,12 +1,12 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** DataFrame-level operations on edge lists.
   *
-  * An edge DataFrame has columns `src: Int, dst: Int` (directed) and
-  * optionally `weight: Double`. These transforms are the Catalyst-side graph
+  * An edge DataFrame has columns `src: Int, dst: Int` (directed) and, once
+  * weighted, `weight: Double`. These transforms are the Catalyst-side graph
   * utilities; each has SQL semantics and is validated against DuckDB in the
   * test suite.
   */
@@ -35,23 +35,16 @@ object GraphOps {
   def outDegrees(edges: DataFrame): DataFrame =
     edges.groupBy(col("src").as("node")).agg(count(lit(1)).as("out_degree"))
 
-  /** Collect a (possibly weighted) edge DataFrame to local triples; a
-    * missing weight column defaults to `defaultWeight`. Ids are read as
+  /** Collect a weighted edge DataFrame to local triples. Ids are read as
     * longs, so an id that does not fit in an Int is rejected, naming the
     * edge, rather than failing on the column type or wrapping.
     */
-  def toTriples(edges: DataFrame, defaultWeight: Double = 1.0): Seq[(Int, Int, Double)] = {
-    val weight = if (edges.columns.contains("weight")) col("weight").cast("double") else lit(defaultWeight)
-    edges.select(col("src").cast("bigint"), col("dst").cast("bigint"), weight).collect().map { r =>
+  def toTriples(edges: DataFrame): Seq[(Int, Int, Double)] = {
+    require(edges.columns.contains("weight"), s"edge frame has no weight column: ${edges.columns.mkString(", ")}")
+    edges.select(col("src").cast("bigint"), col("dst").cast("bigint"), col("weight").cast("double")).collect().map { r =>
       val (u, v) = (r.getLong(0), r.getLong(1))
       require(u.isValidInt && v.isValidInt, s"edge ($u,$v) has an id outside the Int range")
       (u.toInt, v.toInt, r.getDouble(2))
     }.toSeq
-  }
-
-  /** Lift local triples into an edge DataFrame (tests, small graphs). */
-  def fromTriples(spark: SparkSession, triples: Seq[(Int, Int, Double)]): DataFrame = {
-    import spark.implicits._
-    triples.toDF("src", "dst", "weight")
   }
 }

@@ -15,11 +15,7 @@ final case class ImResult(
     evaluations: Long,
     elapsedMs: Long,
     completed: Boolean,
-) {
-  /** Marginal gain realized by each selection. */
-  def gains: Vector[Double] =
-    sigmaValues.zip(0.0 +: sigmaValues.dropRight(1)).map { case (cur, prev) => cur - prev }
-}
+)
 
 /** Plain greedy hill-climbing for influence maximization (Kempe et al. 2003,
   * via Nemhauser et al. 1978): k rounds, each re-evaluating the marginal gain

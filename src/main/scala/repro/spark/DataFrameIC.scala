@@ -59,18 +59,4 @@ object DataFrameIC {
     e.unpersist()
     active
   }
-
-  /** Mean activated over `trials` worlds via the DataFrame simulator —
-    * deliberately slow; used only for small-graph cross-checks.
-    */
-  def meanInfluence(
-      spark: SparkSession,
-      edges: DataFrame,
-      seeds: Seq[Int],
-      trials: Int,
-      seed: Long,
-  ): Double = {
-    require(trials > 0, "trials must be positive")
-    (0 until trials).map(t => simulate(spark, edges, seeds, t.toLong, seed).count().toDouble).sum / trials
-  }
 }

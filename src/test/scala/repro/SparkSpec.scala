@@ -6,11 +6,12 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * The session runs the graph generators and edge-list transforms, the
+  * DuckDB oracle checks, the Monte-Carlo fan-out over a broadcast CSR graph
+  * and the DataFrame IC joins. Driver heap is set via ``Test / javaOptions``
+  * in build.sbt from SPARK_DRIVER_MEM. Broadcast joins are disabled, so the
+  * DataFrame IC's frontier-edge joins take the shuffle path on every graph
+  * size.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -68,11 +68,6 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
     assert(g.outDegree(3) == 0)
   }
 
-  test("inDegrees matches the triple multiset") {
-    val g = CsrGraph.fromTriples(4, Seq((0, 1, 1.0), (0, 2, 1.0), (3, 1, 1.0)))
-    assert(g.inDegrees.toSeq == Seq(0, 2, 1, 0))
-  }
-
   test("inWeightSums sums incoming weights") {
     val g = CsrGraph.fromTriples(3, Seq((0, 2, 0.25), (1, 2, 0.5)))
     assert(g.inWeightSums.toSeq == Seq(0.0, 0.0, 0.75))
@@ -210,7 +205,6 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
       assert(g.offsets.sliding(2).forall(p => p(0) <= p(1)), "offsets must be monotone")
       assert(g.m == edges.map(e => (e._1, e._2)).distinct.size)
       assert((0 until g.n).map(g.outDegree).sum == g.m)
-      assert(g.inDegrees.sum == g.m)
     }
   }
 

@@ -196,11 +196,4 @@ class IndependentCascadeSpec extends AnyFunSuite with PropHelpers {
     assertThrows[IllegalArgumentException](
       IndependentCascade.meanInfluence(path(3, 0.5), Array(0), 0, 1))
   }
-
-  test("cumulativePerStep is monotone and ends at totalActivated") {
-    val r = IndependentCascade.simulate(path(6, 1.0), Array(0), 0, 1)
-    val cum = r.cumulativePerStep
-    assert(cum.toSeq == Seq(1, 2, 3, 4, 5, 6))
-    assert(cum.last == r.totalActivated)
-  }
 }

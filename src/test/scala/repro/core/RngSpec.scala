@@ -125,20 +125,4 @@ class RngSpec extends AnyFunSuite with PropHelpers {
     }
     assert(math.abs(agree - n / 2.0) < n * 0.02)
   }
-
-  test("int draws lie in [0, bound)") {
-    checkProp(Prop.forAll { (seed: Long, key: Long) =>
-      val x = Rng.int(seed, key, 7)
-      x >= 0 && x < 7
-    })
-  }
-
-  test("int rejects non-positive bounds") {
-    assertThrows[IllegalArgumentException](Rng.int(1, 2, 0))
-  }
-
-  test("int covers all residues") {
-    val seen = (0 until 1000).map(k => Rng.int(11, k.toLong, 5)).toSet
-    assert(seen == Set(0, 1, 2, 3, 4))
-  }
 }

@@ -40,7 +40,7 @@ class TableSpec extends SparkSpec {
   }
 
   test("Table1.render emits one line per row plus a header") {
-    val rows = Seq(Table1.Row("g", "TV", 1.0, 8.0, 64.0))
+    val rows = Seq(Table1.Row("g", "TV", 1.0, 8.0, 64.0, 1000, 187, 23))
     val out = Table1.render(rows)
     assert(out.linesIterator.size == 2)
     assert(out.contains("TV"))
@@ -54,7 +54,7 @@ class TableSpec extends SparkSpec {
   }
 
   test("Table1.Row normalization rounds against the fastest cell") {
-    val r = Table1.Row("g", "UR", 2.0, 21.0, 399.0)
+    val r = Table1.Row("g", "UR", 2.0, 21.0, 399.0, 1000, 187, 23)
     assert(r.csrNorm == 1)
     assert(r.boxedNorm == 11)  // 21/2 = 10.5 → 11
     assert(r.fullScanNorm == 200)
@@ -62,15 +62,15 @@ class TableSpec extends SparkSpec {
 
   test("Timing.perTrialMs runs at least the warmup plus one measured batch") {
     var calls = 0
-    val res = Timing.perTrialMs(_ => calls += 1, maxTrials = 10, minTimeMs = 0, warmup = 2)
-    assert(calls >= 3)
+    val res = Timing.perTrialMs(_ => calls += 1, maxTrials = 10, minTimeMs = 0)
+    assert(calls >= 4) // 3 warm-up trials, then at least one measured
     assert(res.trials >= 1 && res.trials <= 10)
     assert(res.ms >= 0.0)
   }
 
   test("Timing.perTrialMs passes increasing trial indices") {
     val seen = scala.collection.mutable.ArrayBuffer.empty[Long]
-    Timing.perTrialMs(t => { seen += t; () }, maxTrials = 5, minTimeMs = 0, warmup = 1)
+    Timing.perTrialMs(t => { seen += t; () }, maxTrials = 5, minTimeMs = 0)
     assert(seen.toSeq == seen.toSeq.sorted)
     assert(seen.distinct.size == seen.size)
   }

@@ -187,6 +187,21 @@ class GeneratorsSpec extends SparkSpec {
     assert(deg.length == 5000 && deg.forall(_ == 7))
   }
 
+  test("random regular: dense degrees up to k = n-1 give simple k-regular graphs") {
+    for {
+      n <- Seq(4, 6, 8, 10, 12, 20)
+      k <- Seq(n / 2, n - 3, n - 2, n - 1).distinct
+      seed <- 1L to 3L
+    } {
+      val edges = Generators.randomRegular(spark, n, k, seed).collect().map(r => (r.getInt(0), r.getInt(1)))
+      val clue = s"n=$n k=$k seed=$seed"
+      assert(edges.forall { case (a, b) => a < b }, s"src < dst must hold ($clue)")
+      assert(edges.distinct.length == edges.length, s"duplicate edges ($clue)")
+      val deg = edges.flatMap { case (a, b) => Seq(a, b) }.groupBy(identity).map { case (v, vs) => v -> vs.length }
+      assert((0 until n).forall(v => deg.getOrElse(v, 0) == k), s"degrees $deg ($clue)")
+    }
+  }
+
   test("random regular: rejects odd n and k >= n") {
     assertThrows[IllegalArgumentException](Generators.randomRegular(spark, 7, 2, 1))
     assertThrows[IllegalArgumentException](Generators.randomRegular(spark, 10, 10, 1))

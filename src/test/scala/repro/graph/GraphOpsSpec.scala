@@ -67,10 +67,9 @@ class GraphOpsSpec extends SparkSpec {
     assert(!nodes.contains(3))
   }
 
-  test("toTriples applies the default weight when none present") {
-    val triples = GraphOps.toTriples(sample, defaultWeight = 0.5)
-    assert(triples.size == 5)
-    assert(triples.forall(_._3 == 0.5))
+  test("toTriples rejects a frame with no weight column") {
+    val e = intercept[IllegalArgumentException](GraphOps.toTriples(sample))
+    assert(e.getMessage.contains("no weight column"), e.getMessage)
   }
 
   test("toTriples preserves an existing weight column") {
@@ -92,10 +91,15 @@ class GraphOpsSpec extends SparkSpec {
     assert(e.getMessage.contains("(0,4294967297)"), e.getMessage)
   }
 
-  test("fromTriples/toTriples round-trip") {
+  test("toTriples round-trips a weighted frame") {
+    import spark.implicits._
     val triples = Seq((0, 1, 0.1), (1, 2, 0.9))
-    val back = GraphOps.toTriples(GraphOps.fromTriples(spark, triples))
-    assert(back.toSet == triples.toSet)
+    assert(GraphOps.toTriples(triples.toDF("src", "dst", "weight")).toSet == triples.toSet)
+  }
+
+  test("a CsrGraph is built only through the validating builder") {
+    assertCompiles("repro.core.CsrGraph.fromTriples(2, Seq((0, 1, 0.5)))")
+    assertDoesNotCompile("new repro.core.CsrGraph(2, Array(0, 1, 1), Array(5), Array(Double.NaN))")
   }
 
   test("symmetrize of a canonical undirected list doubles the edge count") {

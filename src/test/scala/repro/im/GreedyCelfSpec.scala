@@ -109,7 +109,8 @@ class GreedyCelfSpec extends SparkSpec {
     val (_, g) = graph("WC", n = 40)
     val est = new CsrEstimator(g, 30, rngSeed)
     val res = Greedy.run(est.sigma, 0 until 40, 5)
-    res.gains.sliding(2).foreach(p => assert(p(0) >= p(1) - 1e-9, s"gains ${res.gains}"))
+    val gains = (0.0 +: res.sigmaValues).sliding(2).map(p => p(1) - p(0)).toVector
+    gains.sliding(2).foreach(p => assert(p(0) >= p(1) - 1e-9, s"gains $gains"))
   }
 
   test("greedy rejects invalid budgets") {
@@ -181,11 +182,6 @@ class GreedyCelfSpec extends SparkSpec {
       assert(math.abs(res.sigmaValues(i) - direct) < 1e-9,
         s"prefix ${i + 1}: reported ${res.sigmaValues(i)} direct $direct")
     }
-  }
-
-  test("ImResult gains reconstruct sigma deltas") {
-    val r = ImResult(Vector(1, 2), Vector(3.0, 5.5), 10, 1, completed = true)
-    assert(r.gains == Vector(3.0, 2.5))
   }
 
   test("estimators reject non-positive trial counts") {

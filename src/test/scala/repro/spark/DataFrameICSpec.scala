@@ -51,18 +51,4 @@ class DataFrameICSpec extends SparkSpec {
     val edges = Seq((0, 1, 0.0)).toDF("src", "dst", "weight")
     assert(DataFrameIC.simulate(spark, edges, Seq(0, 0, 0), 0, 1).count() == 1)
   }
-
-  test("DataFrame IC meanInfluence equals the CSR mean on a small graph") {
-    val (weighted, g) = weightedGraph("WC")
-    val trials = 5
-    val df = DataFrameIC.meanInfluence(spark, weighted, Seq(0, 7), trials, rngSeed)
-    val csr = IndependentCascade.meanInfluence(g, Array(0, 7), trials, rngSeed)
-    assert(df == csr)
-  }
-
-  test("DataFrame IC meanInfluence rejects non-positive trials") {
-    import spark.implicits._
-    val edges = Seq((0, 1, 0.5)).toDF("src", "dst", "weight")
-    assertThrows[IllegalArgumentException](DataFrameIC.meanInfluence(spark, edges, Seq(0), 0, 1))
-  }
 }
