@@ -4,7 +4,7 @@ package repro.core
   * estimators ([[repro.im]]) and the Spark runner ([[repro.spark.MonteCarlo]]).
   *
   * Each model owns exactly one traversal kernel, its [[Simulator]]; the
-  * convenience entry points below build one and call it.
+  * convenience entry point below builds one and calls it.
   */
 sealed trait Model extends Serializable {
 
@@ -24,10 +24,6 @@ sealed trait Model extends Serializable {
     */
   final def simulate(g: CsrGraph, seeds: Array[Int], trial: Long, seed: Long): SimResult =
     simulator(g, seed).simulate(seeds, trial)
-
-  /** Mean activated count over trials [0, trials) (local σ̂). */
-  final def meanInfluence(g: CsrGraph, seeds: Array[Int], trials: Int, seed: Long): Double =
-    simulator(g, seed).meanInfluence(seeds, trials)
 }
 
 /** Frontier-based independent-cascade model over a CSR graph — the

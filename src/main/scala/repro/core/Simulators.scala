@@ -54,14 +54,17 @@ sealed abstract class Simulator(protected val g: CsrGraph) {
     hi
   }
 
-  /** Mean activated count over trials [0, trials). */
-  final def meanInfluence(seeds: Array[Int], trials: Int): Double = {
+  /** Activated count summed over trials [0, trials). */
+  final def total(seeds: Array[Int], trials: Int): Long = {
     require(trials > 0, "trials must be positive")
     var sum = 0L
     var t = 0
     while (t < trials) { sum += activatedCount(seeds, t.toLong); t += 1 }
-    sum.toDouble / trials
+    sum
   }
+
+  /** Mean activated count over trials [0, trials). */
+  final def meanInfluence(seeds: Array[Int], trials: Int): Double = total(seeds, trials).toDouble / trials
 
   /** Run trial `trial` and call `f(node, step)` for every activated node, in
     * activation order (so in non-decreasing step order); O(activated).

@@ -13,9 +13,9 @@ import repro.weights.EdgeWeights
   *
   * Our grid: EWM ∈ {TV, WC} × backend ∈ {CSR, boxed-frontier, full-scan},
   * with the full-scan backend under a wall-clock budget (the DNF row).
-  * All backends evaluate σ̂ on the same 100 live-edge worlds, so the CSR
-  * and boxed backends select *identical* seed sets — only wall-clock
-  * differs, which is exactly the paper's claim.
+  * All backends count σ̂'s exact integer total over the same 100 live-edge
+  * worlds, so the CSR and boxed backends select *identical* seed sets — only
+  * wall-clock differs, which is exactly the paper's claim.
   */
 object Table2 {
 
@@ -67,8 +67,8 @@ object Table2 {
     } yield {
       // JIT warmup: CELF's wall clock is the measurement, so pay the
       // compile-and-ramp cost of each backend's hot path before timing.
-      (0 until 10).foreach(v => est.sigma(Seq(v % n)))
-      Cell(ewm, est.name, Celf.run(est.sigma, candidates, k, budget))
+      (0 until 10).foreach(v => est.total(Seq(v % n)))
+      Cell(ewm, est.name, Celf.run(est.total, candidates, k, budget))
     }
   }
 

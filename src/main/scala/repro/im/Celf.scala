@@ -15,25 +15,27 @@ import scala.collection.mutable
   *
   * Ties are broken toward the smaller node id, matching [[Greedy]] when
   * candidates are passed in ascending order, so CELF == Greedy exactly for
-  * deterministic submodular σ̂ (the IC live-edge estimators here).
+  * a deterministic submodular objective with exact arithmetic, such as an
+  * estimator's integer [[InfluenceEstimator.total]] (not its Double σ̂).
   */
 object Celf {
 
   /** Select k seeds lazily.
     *
-    * @param sigma        influence function (typically an [[InfluenceEstimator]])
+    * @param sigma        objective over seed sets, e.g. an estimator's `total`
+    *                     or `sigma`; `sigmaValues` hold its value per prefix
     * @param candidates   candidate node ids
     * @param k            seed budget
     * @param timeBudgetMs optional wall-clock budget; on expiry the partial
     *                     result is returned with `completed = false`
     *                     (the paper's NDlib-DNF reporting)
     */
-  def run(
-      sigma: Seq[Int] => Double,
+  def run[V](
+      sigma: Seq[Int] => V,
       candidates: Seq[Int],
       k: Int,
       timeBudgetMs: Long = Long.MaxValue,
-  ): ImResult = {
+  )(implicit num: Numeric[V]): ImResult = {
     require(k > 0 && k <= candidates.distinct.size, s"need 0 < k <= |candidates|, got k=$k")
     val start = System.nanoTime()
     def elapsedMs: Long = (System.nanoTime() - start) / 1000000L
@@ -41,13 +43,13 @@ object Celf {
 
     // Max-heap on gain; smaller node id wins ties (matches Greedy's
     // first-strictly-greater scan over ascending candidates).
-    final case class Entry(gain: Double, node: Int, round: Int)
-    implicit val ord: Ordering[Entry] = Ordering.by(e => (e.gain, -e.node))
+    final case class Entry(gain: V, node: Int, round: Int)
+    implicit val ord: Ordering[Entry] = Ordering.by[Entry, V](_.gain).orElseBy(-_.node)
     val heap = mutable.PriorityQueue.empty[Entry]
 
     var chosen = Vector.empty[Int]
     var sigmas = Vector.empty[Double]
-    var current = 0.0
+    var current = num.zero
 
     // Round 0: every candidate's gain is σ({v}) (σ(∅) = 0 activated nodes).
     val it = candidates.distinct.iterator
@@ -66,10 +68,10 @@ object Celf {
       if (top.round == chosen.size) {
         // gain was computed against the current seed set — safe to select
         chosen :+= top.node
-        current += top.gain
-        sigmas :+= current
+        current = num.plus(current, top.gain)
+        sigmas :+= num.toDouble(current)
       } else {
-        val fresh = sigma(chosen :+ top.node) - current
+        val fresh = num.minus(sigma(chosen :+ top.node), current)
         evals += 1
         heap.enqueue(Entry(fresh, top.node, chosen.size))
       }

@@ -3,7 +3,8 @@ package repro.im
 /** Result of an influence-maximization run.
   *
   * @param seeds       selected seed nodes, in selection order
-  * @param sigmaValues σ̂ of the seed prefix after each selection
+  * @param sigmaValues the objective's value (σ̂, or an estimator's `total`)
+  *                    at the seed prefix after each selection
   * @param evaluations number of σ̂ evaluations performed
   * @param elapsedMs   wall-clock duration of the run
   * @param completed   false if a time budget expired before k seeds were
@@ -26,30 +27,28 @@ object Greedy {
 
   /** Select k seeds maximizing σ̂ greedily.
     *
-    * @param sigma      influence function (typically an [[InfluenceEstimator]])
+    * @param sigma      objective over seed sets, e.g. an estimator's `total`
     * @param candidates candidate node ids
     * @param k          seed budget
     */
-  def run(sigma: Seq[Int] => Double, candidates: Seq[Int], k: Int): ImResult = {
+  def run[V](sigma: Seq[Int] => V, candidates: Seq[Int], k: Int)(implicit num: Numeric[V]): ImResult = {
     require(k > 0 && k <= candidates.distinct.size, s"need 0 < k <= |candidates|, got k=$k")
     val start = System.nanoTime()
     var evals = 0L
     var chosen = Vector.empty[Int]
     var sigmas = Vector.empty[Double]
-    var current = 0.0
     var remaining = candidates.distinct.toVector
     while (chosen.size < k) {
       var bestNode = -1
-      var bestSigma = Double.NegativeInfinity
+      var bestSigma = num.zero
       for (v <- remaining) {
         val s = sigma(chosen :+ v)
         evals += 1
         // Ties broken by first (lowest-index) candidate — CELF matches this.
-        if (s > bestSigma) { bestSigma = s; bestNode = v }
+        if (bestNode < 0 || num.gt(s, bestSigma)) { bestSigma = s; bestNode = v }
       }
       chosen :+= bestNode
-      sigmas :+= bestSigma
-      current = bestSigma
+      sigmas :+= num.toDouble(bestSigma)
       remaining = remaining.filterNot(_ == bestNode)
     }
     ImResult(chosen, sigmas, evals, (System.nanoTime() - start) / 1000000L, completed = true)

@@ -9,18 +9,25 @@ import repro.spark.MonteCarlo
   * the "CELF with different backends" axis of the paper's Table 2.
   *
   * Every backend evaluates the *same* fixed set of live-edge/threshold
-  * worlds (trials 0 until `trials` with the shared counter-based RNG), so:
-  *   - all backends return bit-identical σ̂ for the same S (tested), and
-  *   - for IC, σ̂ is an average of per-world reachability coverages, hence
-  *     monotone submodular, making lazy (CELF) and full greedy provably
-  *     pick identical seed sets.
+  * worlds (trials 0 until `trials` with the shared counter-based RNG) and
+  * counts their activations exactly in [[total]], so:
+  *   - all backends return the same total, hence bit-identical σ̂, for the
+  *     same S (tested), and
+  *   - for IC, the total is a sum of per-world reachability coverages, hence
+  *     monotone submodular, making lazy (CELF) and full greedy over its exact
+  *     integer gains provably pick identical seed sets.
   */
-trait InfluenceEstimator {
+abstract class InfluenceEstimator(val trials: Int) {
+  require(trials > 0, "trials must be positive")
+
   /** Backend name as it appears in benchmark output. */
   def name: String
 
+  /** Activated count for seed set `seeds`, summed over trials [0, trials). */
+  def total(seeds: Seq[Int]): Long
+
   /** Estimated expected number of activated nodes for seed set `seeds`. */
-  def sigma(seeds: Seq[Int]): Double
+  final def sigma(seeds: Seq[Int]): Double = total(seeds).toDouble / trials
 }
 
 /** σ̂ via the CSR frontier engine (the CyNetDiff analog). Uses the
@@ -28,50 +35,36 @@ trait InfluenceEstimator {
   * touched edges, not to graph size — the property Table 2 measures.
   */
 final class CsrEstimator(g: CsrGraph, trials: Int, seed: Long, model: Model = IndependentCascade)
-    extends InfluenceEstimator {
-  require(trials > 0, "trials must be positive")
+    extends InfluenceEstimator(trials) {
   private val sim = model.simulator(g, seed)
   val name: String = "csr"
-  def sigma(seeds: Seq[Int]): Double = sim.meanInfluence(seeds.toArray, trials)
+  def total(seeds: Seq[Int]): Long = sim.total(seeds.toArray, trials)
 }
 
-/** σ̂ as the mean activated count over trials [0, trials) — the one trial
-  * loop of the two baseline estimators. Each picks its per-trial `count`
-  * for its model once, when it is built. Throws if a seed lies outside
-  * [0, n).
+/** The total as a sum of per-trial activated counts — the one trial loop of
+  * the two baseline estimators. Throws if a seed lies outside [0, n).
   */
-sealed abstract class TrialMeanEstimator(n: Int, trials: Int) extends InfluenceEstimator {
-  require(trials > 0, "trials must be positive")
+sealed abstract class TrialSumEstimator(n: Int, trials: Int) extends InfluenceEstimator(trials) {
+  /** Activated count of trial `trial` for `seeds`. */
+  protected def count(seeds: Seq[Int], trial: Long): Int
 
-  protected val count: TrialMeanEstimator.Count
-
-  final def sigma(seeds: Seq[Int]): Double = {
+  final def total(seeds: Seq[Int]): Long = {
     Simulator.requireSeeds(n, seeds)
     var sum = 0L
     var t = 0
     while (t < trials) { sum += count(seeds, t.toLong); t += 1 }
-    sum.toDouble / trials
+    sum
   }
-}
-
-object TrialMeanEstimator {
-
-  /** Activated count of one trial for a seed set; a SAM type rather than a
-    * `Function2`, so the trial index and the count are not boxed per trial.
-    */
-  trait Count { def apply(seeds: Seq[Int], trial: Long): Int }
 }
 
 /** σ̂ via the boxed-frontier baseline (the pure-Python analog). */
 final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, model: Model = IndependentCascade)
-    extends TrialMeanEstimator(n, trials) {
+    extends TrialSumEstimator(n, trials) {
   val name: String = "boxed"
-  protected val count: TrialMeanEstimator.Count = {
-    val adj = BoxedFrontier.buildAdjacency(triples)
-    model match {
-      case IndependentCascade => BoxedFrontier.activatedCountIC(adj, _, _, seed)
-      case LinearThreshold => BoxedFrontier.activatedCountLT(adj, _, _, seed)
-    }
+  private val adj = BoxedFrontier.buildAdjacency(triples)
+  protected def count(seeds: Seq[Int], trial: Long): Int = model match {
+    case IndependentCascade => BoxedFrontier.activatedCountIC(adj, seeds, trial, seed)
+    case LinearThreshold => BoxedFrontier.activatedCountLT(adj, seeds, trial, seed)
   }
 }
 
@@ -79,14 +72,12 @@ final class BoxedEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int
   * reports as not finishing CELF within its time budget.
   */
 final class FullScanEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: Int, seed: Long, model: Model = IndependentCascade)
-    extends TrialMeanEstimator(n, trials) {
+    extends TrialSumEstimator(n, trials) {
   val name: String = "fullscan"
-  protected val count: TrialMeanEstimator.Count = {
-    val adj = FullScan.buildAdjacency(triples)
-    model match {
-      case IndependentCascade => FullScan.activatedCountIC(n, adj, _, _, seed)
-      case LinearThreshold => FullScan.activatedCountLT(n, adj, _, _, seed)
-    }
+  private val adj = FullScan.buildAdjacency(triples)
+  protected def count(seeds: Seq[Int], trial: Long): Int = model match {
+    case IndependentCascade => FullScan.activatedCountIC(n, adj, seeds, trial, seed)
+    case LinearThreshold => FullScan.activatedCountLT(n, adj, seeds, trial, seed)
   }
 }
 
@@ -94,8 +85,7 @@ final class FullScanEstimator(n: Int, triples: Seq[(Int, Int, Double)], trials: 
   * value, different execution substrate (see [[repro.spark.MonteCarlo]]).
   */
 final class SparkEstimator(spark: SparkSession, g: CsrGraph, trials: Int, seed: Long, model: Model = IndependentCascade)
-    extends InfluenceEstimator {
-  require(trials > 0, "trials must be positive")
+    extends InfluenceEstimator(trials) {
   val name: String = "spark"
-  def sigma(seeds: Seq[Int]): Double = MonteCarlo.influence(spark, g, seeds.toArray, trials, seed, model)
+  def total(seeds: Seq[Int]): Long = MonteCarlo.total(spark, g, seeds.toArray, trials, seed, model)
 }

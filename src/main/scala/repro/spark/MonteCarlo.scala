@@ -34,7 +34,7 @@ object MonteCarlo {
     // Rows are read off the simulator's queue in O(activated); the next
     // trial overwrites that state, so each trial's rows are materialised
     // before the next trial is pulled.
-    perTrial(spark, g, trials, seed, model) { (sim, trial) =>
+    perTrial(spark, g, seeds, trials, seed, model) { (sim, trial) =>
       val rows = Array.newBuilder[(Long, Int, Int)]
       sim.foreachActivation(seeds, trial)((node, step) => rows += ((trial, node, step)))
       rows.result()
@@ -51,18 +51,20 @@ object MonteCarlo {
       model: Model = IndependentCascade,
   ): DataFrame = {
     import spark.implicits._
-    perTrial(spark, g, trials, seed, model)((sim, trial) => Iterator.single((trial, sim.activatedCount(seeds, trial))))
+    perTrial(spark, g, seeds, trials, seed, model)((sim, trial) => Iterator.single((trial, sim.activatedCount(seeds, trial))))
       .toDF("trial", "activated")
   }
 
   /** The one Spark fan-out: broadcasts `g`, spreads trials [0, trials) over
     * `spark.range`'s partitions and emits `rows(sim, trial)` for each trial.
     * One reusable-state simulator per partition amortizes its allocation
-    * over the partition's trials, matching the local hot path.
+    * over the partition's trials, matching the local hot path. `seeds` are
+    * checked against [0, n) here, on the driver, before any job is built.
     */
-  private def perTrial[T: Encoder](spark: SparkSession, g: CsrGraph, trials: Int, seed: Long, model: Model)(
+  private def perTrial[T: Encoder](spark: SparkSession, g: CsrGraph, seeds: Array[Int], trials: Int, seed: Long, model: Model)(
       rows: (Simulator, Long) => IterableOnce[T]): Dataset[T] = {
     require(trials > 0, "trials must be positive")
+    Simulator.requireSeeds(g.n, seeds.toSeq)
     import spark.implicits._
     val bg = spark.sparkContext.broadcast(g)
     spark.range(trials).as[Long].mapPartitions { it =>
@@ -71,9 +73,20 @@ object MonteCarlo {
     }
   }
 
-  /** Distributed σ̂(S): mean activated count over `trials` worlds.
-    * Bit-identical to the local mean because the RNG is counter-based.
+  /** Distributed activated count summed over `trials` worlds. Equal to the
+    * local [[Simulator.total]] because the RNG is counter-based.
     */
+  def total(
+      spark: SparkSession,
+      g: CsrGraph,
+      seeds: Array[Int],
+      trials: Int,
+      seed: Long,
+      model: Model = IndependentCascade,
+  ): Long =
+    trialCounts(spark, g, seeds, trials, seed, model).agg(sum(col("activated"))).head().getLong(0)
+
+  /** Distributed σ̂(S): mean activated count over `trials` worlds. */
   def influence(
       spark: SparkSession,
       g: CsrGraph,
@@ -82,10 +95,7 @@ object MonteCarlo {
       seed: Long,
       model: Model = IndependentCascade,
   ): Double =
-    trialCounts(spark, g, seeds, trials, seed, model)
-      .agg(sum(col("activated")).cast("double").as("s"))
-      .head()
-      .getDouble(0) / trials
+    total(spark, g, seeds, trials, seed, model).toDouble / trials
 
   /** Heatmap data (paper Figure 2): how many trials activated each node.
     * Columns (node, activations); nodes never activated are absent.

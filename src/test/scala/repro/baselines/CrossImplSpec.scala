@@ -3,7 +3,8 @@ package repro.baselines
 import repro.{PropHelpers, SparkSpec}
 import repro.core.{CsrGraph, IndependentCascade, LinearThreshold, Model, SimResult}
 import repro.graph.{Generators, GraphOps}
-import repro.im.{BoxedEstimator, CsrEstimator, FullScanEstimator}
+import repro.im.{BoxedEstimator, CsrEstimator, FullScanEstimator, SparkEstimator}
+import repro.spark.MonteCarlo
 import repro.weights.EdgeWeights
 
 /** The reproduction's backbone: all three implementation rungs of the
@@ -92,7 +93,7 @@ class CrossImplSpec extends SparkSpec with PropHelpers {
       val (g, boxed, scan, _) = cell(n, undirectedLazy, ewm)
       val seeds = Array(0, 3)
       val trials = 30
-      val csr = IndependentCascade.meanInfluence(g, seeds, trials, rngSeed)
+      val csr = IndependentCascade.simulator(g, rngSeed).meanInfluence(seeds, trials)
       val boxedMean = (0 until trials)
         .map(t => BoxedFrontier.simulateIC(n, boxed, seeds.toSeq, t.toLong, rngSeed).totalActivated)
         .sum.toDouble / trials
@@ -171,7 +172,7 @@ class CrossImplSpec extends SparkSpec with PropHelpers {
       val entryPoints = Seq[(String, () => Any)](
         "CSR simulate" -> (() => model.simulate(g, seeds, 0, rngSeed)),
         "CSR activatedCount" -> (() => model.simulator(g, rngSeed).activatedCount(seeds, 0)),
-        "CSR meanInfluence" -> (() => model.meanInfluence(g, seeds, 2, rngSeed)),
+        "CSR meanInfluence" -> (() => model.simulator(g, rngSeed).meanInfluence(seeds, 2)),
         "boxed simulate" -> (() =>
           if (ic) BoxedFrontier.simulateIC(n, boxed, seeds.toSeq, 0, rngSeed)
           else BoxedFrontier.simulateLT(n, boxed, seeds.toSeq, 0, rngSeed)),
@@ -184,6 +185,9 @@ class CrossImplSpec extends SparkSpec with PropHelpers {
         "CsrEstimator" -> (() => new CsrEstimator(g, 2, rngSeed, model).sigma(seeds.toSeq)),
         "BoxedEstimator" -> (() => new BoxedEstimator(n, triples, 2, rngSeed, model).sigma(seeds.toSeq)),
         "FullScanEstimator" -> (() => new FullScanEstimator(n, triples, 2, rngSeed, model).sigma(seeds.toSeq)),
+        "SparkEstimator" -> (() => new SparkEstimator(spark, g, 2, rngSeed, model).sigma(seeds.toSeq)),
+        "MonteCarlo.activations" -> (() => MonteCarlo.activations(spark, g, seeds, 2, rngSeed, model)),
+        "MonteCarlo.trialCounts" -> (() => MonteCarlo.trialCounts(spark, g, seeds, 2, rngSeed, model)),
       )
       for ((entry, run) <- entryPoints) withClue(s"$name $entry, seed $bad: ") {
         val e = intercept[IllegalArgumentException](run())

@@ -77,21 +77,21 @@ class IndependentCascadeSpec extends AnyFunSuite with PropHelpers {
   test("meanInfluence on a single edge is 1 + p") {
     val p = 0.4
     val g = CsrGraph.fromTriples(2, Seq((0, 1, p)))
-    val sigma = IndependentCascade.meanInfluence(g, Array(0), 20000, 5)
+    val sigma = IndependentCascade.simulator(g, 5).meanInfluence(Array(0), 20000)
     assert(math.abs(sigma - (1 + p)) < 0.02, s"sigma $sigma")
   }
 
   test("meanInfluence on a 2-path is 1 + p + p^2") {
     val p = 0.5
     val g = path(3, p)
-    val sigma = IndependentCascade.meanInfluence(g, Array(0), 40000, 5)
+    val sigma = IndependentCascade.simulator(g, 5).meanInfluence(Array(0), 40000)
     assert(math.abs(sigma - (1 + p + p * p)) < 0.02, s"sigma $sigma")
   }
 
   test("meanInfluence on a star is 1 + (n-1) p") {
     val p = 0.2
     val n = 11
-    val sigma = IndependentCascade.meanInfluence(star(n, p), Array(0), 20000, 5)
+    val sigma = IndependentCascade.simulator(star(n, p), 5).meanInfluence(Array(0), 20000)
     assert(math.abs(sigma - (1 + (n - 1) * p)) < 0.05, s"sigma $sigma")
   }
 
@@ -187,13 +187,13 @@ class IndependentCascadeSpec extends AnyFunSuite with PropHelpers {
     forAllRandom(iters = 30) { rnd =>
       val g = randomGraph(rnd, 3 + rnd.nextInt(15), rnd.nextInt(60))
       val seeds = Array(rnd.nextInt(g.n))
-      val sigma = IndependentCascade.meanInfluence(g, seeds, 50, 31)
+      val sigma = IndependentCascade.simulator(g, 31).meanInfluence(seeds, 50)
       assert(sigma >= 1.0 && sigma <= g.n)
     }
   }
 
   test("meanInfluence rejects non-positive trial counts") {
     assertThrows[IllegalArgumentException](
-      IndependentCascade.meanInfluence(path(3, 0.5), Array(0), 0, 1))
+      IndependentCascade.simulator(path(3, 0.5), 1).meanInfluence(Array(0), 0))
   }
 }

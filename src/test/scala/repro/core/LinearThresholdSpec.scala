@@ -169,7 +169,7 @@ class LinearThresholdSpec extends AnyFunSuite with PropHelpers {
 
   test("meanInfluence rejects non-positive trial counts") {
     assertThrows[IllegalArgumentException](
-      LinearThreshold.meanInfluence(path(3, 0.5), Array(0), -1, 1))
+      LinearThreshold.simulator(path(3, 0.5), 1).meanInfluence(Array(0), -1))
   }
 
   test("the LT simulator rejects a node whose in-weights sum above 1, naming it") {
@@ -177,11 +177,11 @@ class LinearThresholdSpec extends AnyFunSuite with PropHelpers {
     val e = intercept[IllegalArgumentException](new LtSimulator(g, 1))
     assert(e.getMessage.contains("node 2"), e.getMessage)
     assertThrows[IllegalArgumentException](LinearThreshold.simulate(g, Array(0), 0, 1))
-    assertThrows[IllegalArgumentException](LinearThreshold.meanInfluence(g, Array(0), 10, 1))
+    assertThrows[IllegalArgumentException](LinearThreshold.simulator(g, 1).meanInfluence(Array(0), 10))
   }
 
   test("meanInfluence on the single half-weight star is 1.5") {
-    val sigma = LinearThreshold.meanInfluence(star(2, 0.5), Array(0), 20000, 5)
+    val sigma = LinearThreshold.simulator(star(2, 0.5), 5).meanInfluence(Array(0), 20000)
     assert(math.abs(sigma - 1.5) < 0.02, s"sigma $sigma")
   }
 }

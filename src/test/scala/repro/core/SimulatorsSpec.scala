@@ -140,22 +140,24 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
     (0 until 10).foreach(_ => assert(sim.activatedCount(seeds, 4) == first))
   }
 
-  test("IcSimulator.meanInfluence equals the static meanInfluence") {
+  test("IcSimulator.meanInfluence and total equal the boxed estimator's") {
     val rnd = new scala.util.Random(9)
     val g = randomGraph(rnd, 40, 200)
     val seeds = Array(1, 2)
-    val sigma = new IcSimulator(g, 19).meanInfluence(seeds, 50)
-    assert(sigma == IndependentCascade.meanInfluence(g, seeds, 50, 19))
-    assert(sigma == new BoxedEstimator(g.n, g.edgeTriples, 50, 19).sigma(seeds.toSeq))
+    val sim = new IcSimulator(g, 19)
+    val boxed = new BoxedEstimator(g.n, g.edgeTriples, 50, 19)
+    assert(sim.meanInfluence(seeds, 50) == boxed.sigma(seeds.toSeq))
+    assert(sim.total(seeds, 50) == boxed.total(seeds.toSeq))
   }
 
-  test("LtSimulator.meanInfluence equals the static meanInfluence") {
+  test("LtSimulator.meanInfluence and total equal the boxed estimator's") {
     val rnd = new scala.util.Random(9)
     val g = randomLtGraph(rnd, 40, 200)
     val seeds = Array(1, 2)
-    val sigma = new LtSimulator(g, 19).meanInfluence(seeds, 50)
-    assert(sigma == LinearThreshold.meanInfluence(g, seeds, 50, 19))
-    assert(sigma == new BoxedEstimator(g.n, g.edgeTriples, 50, 19, LinearThreshold).sigma(seeds.toSeq))
+    val sim = new LtSimulator(g, 19)
+    val boxed = new BoxedEstimator(g.n, g.edgeTriples, 50, 19, LinearThreshold)
+    assert(sim.meanInfluence(seeds, 50) == boxed.sigma(seeds.toSeq))
+    assert(sim.total(seeds, 50) == boxed.total(seeds.toSeq))
   }
 
   test("meanInfluence rejects non-positive trials") {

@@ -1,12 +1,13 @@
 package repro.im
 
-import repro.SparkSpec
+import repro.{PropHelpers, SparkSpec}
 import repro.core.{CsrGraph, LinearThreshold}
+import repro.experiments.Table2
 import repro.graph.{Generators, GraphOps}
 import repro.weights.EdgeWeights
 
 /** Greedy vs CELF equivalence, estimator agreement, lazy-evaluation wins. */
-class GreedyCelfSpec extends SparkSpec {
+class GreedyCelfSpec extends SparkSpec with PropHelpers {
 
   private val rngSeed = 101L
   private val trials = 60
@@ -126,11 +127,52 @@ class GreedyCelfSpec extends SparkSpec {
     test(s"CELF == Greedy seed sets and σ̂ values on $ewm weights (IC, submodular)") {
       val (_, g) = graph(ewm, n = 50, p = 0.08)
       val est = new CsrEstimator(g, 40, rngSeed)
-      val gr = Greedy.run(est.sigma, 0 until 50, 4)
-      val ce = Celf.run(est.sigma, 0 until 50, 4)
+      val gr = Greedy.run(est.total, 0 until 50, 4)
+      val ce = Celf.run(est.total, 0 until 50, 4)
       assert(ce.seeds == gr.seeds, s"CELF ${ce.seeds} vs greedy ${gr.seeds}")
-      ce.sigmaValues.zip(gr.sigmaValues).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9) }
+      assert(ce.sigmaValues == gr.sigmaValues)
     }
+  }
+
+  /** Weighted coverage: the summed weight of the elements that the chosen
+    * candidates' sets cover — monotone submodular, with exact integer gains.
+    */
+  private def coverage(weights: Seq[Long], sets: Seq[Set[Int]]): Seq[Int] => Long =
+    seeds => seeds.flatMap(sets).distinct.map(weights).sum
+
+  test("CELF and Greedy break an exact integer tie alike on a weighted coverage") {
+    // After candidate 2, candidates 1 and 4 both gain exactly 1117; as
+    // gains per 100 worlds in Double arithmetic, CELF picked (2, 4, 0).
+    val f = coverage(Seq(1445, 1117, 1333, 2131, 2053), Seq(Set(4), Set(1), Set(2, 3, 4), Set(3), Set(1, 3, 4)))
+    assert(Greedy.run(f, 0 until 5, 3).seeds == Vector(2, 1, 0))
+    assert(Celf.run(f, 0 until 5, 3).seeds == Vector(2, 1, 0))
+  }
+
+  test("CELF == Greedy on 1,000 random weighted coverages (integer gains)") {
+    forAllRandom(iters = 1000) { rnd =>
+      val elements = 1 + rnd.nextInt(8)
+      val maxWeight = if (rnd.nextBoolean()) 4 else 3000
+      val weights = Seq.fill(elements)(rnd.nextInt(maxWeight).toLong)
+      val n = 1 + rnd.nextInt(8)
+      val sets = Seq.fill(n)(Set.fill(1 + rnd.nextInt(3))(rnd.nextInt(elements)))
+      val k = 1 + rnd.nextInt(n)
+      val ce = Celf.run(coverage(weights, sets), 0 until n, k)
+      val gr = Greedy.run(coverage(weights, sets), 0 until n, k)
+      assert(ce.seeds == gr.seeds && ce.sigmaValues == gr.sigmaValues,
+        s"weights=$weights sets=$sets k=$k: CELF ${ce.seeds} vs greedy ${gr.seeds}")
+    }
+  }
+
+  test("CELF == Greedy on integer totals over Table 2's TV graph at RNG seed 8") {
+    // Over the Double σ̂, CELF's last two seeds were 4700, 407 here, while
+    // Greedy's were 407, 3783: an exact tie broken the wrong way.
+    val undirected = Generators.randomRegular(spark, Table2.N, Table2.Degree, seed = 21)
+    val triples = GraphOps.toTriples(EdgeWeights("TV", GraphOps.symmetrize(undirected), seed = 31))
+    val est = new CsrEstimator(CsrGraph.fromTriples(Table2.N, triples), 100, 8)
+    val candidates = 0 until Table2.N
+    val ce = Celf.run(est.total, candidates, Table2.K)
+    val gr = Greedy.run(est.total, candidates, Table2.K)
+    assert(ce.seeds == gr.seeds, s"CELF ${ce.seeds} vs greedy ${gr.seeds}")
   }
 
   test("CELF uses strictly fewer evaluations than greedy beyond round one") {
@@ -176,10 +218,10 @@ class GreedyCelfSpec extends SparkSpec {
   test("CELF sigma values are consistent with direct evaluation of its seeds") {
     val (_, g) = graph("UR", n = 40, p = 0.08)
     val est = new CsrEstimator(g, 30, rngSeed)
-    val res = Celf.run(est.sigma, 0 until 40, 3)
+    val res = Celf.run(est.total, 0 until 40, 3)
     res.seeds.indices.foreach { i =>
-      val direct = est.sigma(res.seeds.take(i + 1))
-      assert(math.abs(res.sigmaValues(i) - direct) < 1e-9,
+      val direct = est.total(res.seeds.take(i + 1)).toDouble
+      assert(res.sigmaValues(i) == direct,
         s"prefix ${i + 1}: reported ${res.sigmaValues(i)} direct $direct")
     }
   }

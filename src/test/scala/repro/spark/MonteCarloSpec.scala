@@ -20,13 +20,14 @@ class MonteCarloSpec extends SparkSpec {
   private val rngSeed = 71L
 
   test("distributed IC influence is bit-identical to the local mean") {
-    val local = IndependentCascade.meanInfluence(g, seeds, 40, rngSeed)
+    val local = IndependentCascade.simulator(g, rngSeed).meanInfluence(seeds, 40)
     val dist = MonteCarlo.influence(spark, g, seeds, 40, rngSeed, IndependentCascade)
     assert(local == dist, s"local=$local dist=$dist")
+    assert(MonteCarlo.total(spark, g, seeds, 40, rngSeed) == IndependentCascade.simulator(g, rngSeed).total(seeds, 40))
   }
 
   test("distributed LT influence is bit-identical to the local mean") {
-    val local = LinearThreshold.meanInfluence(g, seeds, 40, rngSeed)
+    val local = LinearThreshold.simulator(g, rngSeed).meanInfluence(seeds, 40)
     val dist = MonteCarlo.influence(spark, g, seeds, 40, rngSeed, LinearThreshold)
     assert(local == dist)
   }
