@@ -31,6 +31,7 @@ object Table2 {
   val N = 5000
   val Degree = 7
   val K = 10
+  private val RngSeed = 7L
 
   /** Run the table.
     *
@@ -42,7 +43,6 @@ object Table2 {
   def run(
       spark: SparkSession,
       trials: Int = 100,
-      rngSeed: Long = 7,
       fullScanBudgetMs: Long = 60000,
       includeFullScan: Boolean = true,
       n: Int = N,
@@ -58,10 +58,10 @@ object Table2 {
       triples = GraphOps.toTriples(weighted)
       g = CsrGraph.fromTriples(n, triples)
       backends: Seq[(InfluenceEstimator, Long)] = Seq(
-        (new CsrEstimator(g, trials, rngSeed), Long.MaxValue),
-        (new BoxedEstimator(n, triples, trials, rngSeed), Long.MaxValue),
+        (new CsrEstimator(g, trials, RngSeed), Long.MaxValue),
+        (new BoxedEstimator(n, triples, trials, RngSeed), Long.MaxValue),
       ) ++ (if (includeFullScan)
-              Seq((new FullScanEstimator(n, triples, trials, rngSeed), fullScanBudgetMs))
+              Seq((new FullScanEstimator(n, triples, trials, RngSeed), fullScanBudgetMs))
             else Nil)
       (est, budget) <- backends
     } yield {

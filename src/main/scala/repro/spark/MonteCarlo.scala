@@ -1,18 +1,21 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{CsrGraph, IndependentCascade, Model, Simulator}
+import scala.reflect.ClassTag
 
 /** Spark-distributed Monte-Carlo driver for the diffusion engines.
   *
   * This is the "parallelism" future-work direction of the paper realized at
   * the level the repro band asks for: trials (not the graph) are the
-  * parallel axis. The CSR graph is broadcast once; `spark.range(trials)`
+  * parallel axis. The CSR graph is broadcast once per call; an RDD range
   * fans the trial indices across cores; every task runs the same
   * counter-based-RNG simulation it would run locally, so distributed results
-  * are bit-identical to local ones. Aggregations (influence, heatmap counts,
-  * activation curves) are DataFrame pipelines, oracle-checked in the tests.
+  * are bit-identical to local ones. σ̂ is per-partition partial sums added on
+  * the driver; the trace aggregates (heatmap counts, activation curves) are
+  * DataFrame pipelines, oracle-checked in the tests.
   */
 object MonteCarlo {
 
@@ -34,47 +37,31 @@ object MonteCarlo {
     // Rows are read off the simulator's queue in O(activated); the next
     // trial overwrites that state, so each trial's rows are materialised
     // before the next trial is pulled.
-    perTrial(spark, g, seeds, trials, seed, model) { (sim, trial) =>
-      val rows = Array.newBuilder[(Long, Int, Int)]
-      sim.foreachActivation(seeds, trial)((node, step) => rows += ((trial, node, step)))
-      rows.result()
+    perPartition(spark, g, seeds, trials, seed, model) { (sim, it) =>
+      it.flatMap { trial =>
+        val rows = Array.newBuilder[(Long, Int, Int)]
+        sim.foreachActivation(seeds, trial)((node, step) => rows += ((trial, node, step)))
+        rows.result()
+      }
     }.toDF("trial", "node", "step")
   }
 
-  /** Per-trial activated-node counts: (trial, activated). */
-  def trialCounts(
-      spark: SparkSession,
-      g: CsrGraph,
-      seeds: Array[Int],
-      trials: Int,
-      seed: Long,
-      model: Model = IndependentCascade,
-  ): DataFrame = {
-    import spark.implicits._
-    perTrial(spark, g, seeds, trials, seed, model)((sim, trial) => Iterator.single((trial, sim.activatedCount(seeds, trial))))
-      .toDF("trial", "activated")
-  }
-
-  /** The one Spark fan-out: broadcasts `g`, spreads trials [0, trials) over
-    * `spark.range`'s partitions and emits `rows(sim, trial)` for each trial.
-    * One reusable-state simulator per partition amortizes its allocation
-    * over the partition's trials, matching the local hot path. `seeds` are
-    * checked against [0, n) here, on the driver, before any job is built.
+  /** The one Spark fan-out: broadcasts `g` and maps each partition of the
+    * trial range [0, trials) through `f` with one reusable-state simulator,
+    * as the local hot path reuses one. A partition may get no trial. `seeds`
+    * are checked against [0, n) on the driver, before any job is built.
     */
-  private def perTrial[T: Encoder](spark: SparkSession, g: CsrGraph, seeds: Array[Int], trials: Int, seed: Long, model: Model)(
-      rows: (Simulator, Long) => IterableOnce[T]): Dataset[T] = {
+  private def perPartition[T: ClassTag](spark: SparkSession, g: CsrGraph, seeds: Array[Int], trials: Int, seed: Long, model: Model)(
+      f: (Simulator, Iterator[Long]) => Iterator[T]): RDD[T] = {
     require(trials > 0, "trials must be positive")
     Simulator.requireSeeds(g.n, seeds.toSeq)
-    import spark.implicits._
     val bg = spark.sparkContext.broadcast(g)
-    spark.range(trials).as[Long].mapPartitions { it =>
-      val sim = model.simulator(bg.value, seed)
-      it.flatMap(trial => rows(sim, trial))
-    }
+    spark.sparkContext.range(0L, trials).mapPartitions(it => f(model.simulator(bg.value, seed), it))
   }
 
-  /** Distributed activated count summed over `trials` worlds. Equal to the
-    * local [[Simulator.total]] because the RNG is counter-based.
+  /** Distributed activated count summed over `trials` worlds: one partial sum
+    * per partition, added on the driver, so one stage and no shuffle. Equal
+    * to the local [[Simulator.total]] because the RNG is counter-based.
     */
   def total(
       spark: SparkSession,
@@ -84,7 +71,8 @@ object MonteCarlo {
       seed: Long,
       model: Model = IndependentCascade,
   ): Long =
-    trialCounts(spark, g, seeds, trials, seed, model).agg(sum(col("activated"))).head().getLong(0)
+    perPartition(spark, g, seeds, trials, seed, model)((sim, it) => Iterator.single(it.map(t => sim.activatedCount(seeds, t).toLong).sum))
+      .reduce(_ + _)
 
   /** Distributed σ̂(S): mean activated count over `trials` worlds. */
   def influence(

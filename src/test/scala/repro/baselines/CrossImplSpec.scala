@@ -187,7 +187,7 @@ class CrossImplSpec extends SparkSpec with PropHelpers {
         "FullScanEstimator" -> (() => new FullScanEstimator(n, triples, 2, rngSeed, model).sigma(seeds.toSeq)),
         "SparkEstimator" -> (() => new SparkEstimator(spark, g, 2, rngSeed, model).sigma(seeds.toSeq)),
         "MonteCarlo.activations" -> (() => MonteCarlo.activations(spark, g, seeds, 2, rngSeed, model)),
-        "MonteCarlo.trialCounts" -> (() => MonteCarlo.trialCounts(spark, g, seeds, 2, rngSeed, model)),
+        "MonteCarlo.total" -> (() => MonteCarlo.total(spark, g, seeds, 2, rngSeed, model)),
       )
       for ((entry, run) <- entryPoints) withClue(s"$name $entry, seed $bad: ") {
         val e = intercept[IllegalArgumentException](run())

@@ -33,7 +33,7 @@ class TableSpec extends SparkSpec {
     val undirected = Generators.erdosRenyi(spark, 100, 0.05, seed = 1)
     val weighted = EdgeWeights("WC", GraphOps.symmetrize(undirected), 2)
     val row = Table1.runCell("tiny", "WC", weighted, 100, nSeeds = 10,
-      maxTrials = 30, minTimeMs = 50, rngSeed = 7)
+      maxTrials = 30, minTimeMs = 50)
     assert(row.csrPerTrialMs > 0 && row.boxedPerTrialMs > 0 && row.fullScanPerTrialMs > 0)
     assert(Seq(row.csrNorm, row.boxedNorm, row.fullScanNorm).min == 1)
     assert(Seq(row.csrTrials, row.boxedTrials, row.fullScanTrials).forall(t => t >= 1 && t <= 30))
@@ -80,7 +80,7 @@ class TableSpec extends SparkSpec {
   }
 
   test("Table2.run smoke: small instance, CSR and boxed backends agree on seeds") {
-    val cells = Table2.run(spark, trials = 20, rngSeed = 7,
+    val cells = Table2.run(spark, trials = 20,
       includeFullScan = false, n = 200, degree = 5, k = 3)
     assert(cells.map(_.ewm).distinct == Seq("TV", "WC"))
     for (ewm <- Seq("TV", "WC")) {

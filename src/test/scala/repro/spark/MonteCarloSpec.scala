@@ -32,13 +32,12 @@ class MonteCarloSpec extends SparkSpec {
     assert(local == dist)
   }
 
-  test("trialCounts rows match local per-trial counts exactly") {
-    val rows = MonteCarlo.trialCounts(spark, g, seeds, 25, rngSeed, IndependentCascade)
-      .collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
-    assert(rows.size == 25)
-    (0 until 25).foreach { t =>
-      assert(rows(t.toLong) == BoxedFrontier.activatedCountIC(boxed, seeds.toSeq, t.toLong, rngSeed))
-    }
+  test("distributed total equals the local total when partitions get 0, 1 or more trials") {
+    val p = spark.sparkContext.defaultParallelism
+    for (model <- Seq(IndependentCascade, LinearThreshold); trials <- Seq(1, p - 1, p, p + 1, 30).filter(_ >= 1))
+      withClue(s"$model, $trials trials, $p partitions: ") {
+        assert(MonteCarlo.total(spark, g, seeds, trials, rngSeed, model) == model.simulator(g, rngSeed).total(seeds, trials))
+      }
   }
 
   test("activations long-form matches local simulation traces") {
@@ -124,11 +123,10 @@ class MonteCarloSpec extends SparkSpec {
   }
 
   test("distributed results are independent of partitioning") {
-    val a = MonteCarlo.trialCounts(spark, g, seeds, 30, rngSeed).repartition(2)
-      .collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
-    val b = MonteCarlo.trialCounts(spark, g, seeds, 30, rngSeed).repartition(13)
-      .collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
-    assert(a == b)
+    def rows(partitions: Int) = MonteCarlo.activations(spark, g, seeds, 30, rngSeed).repartition(partitions)
+      .collect().map(r => (r.getLong(0), r.getInt(1), r.getInt(2))).toSet
+    val a = rows(2)
+    assert(a.nonEmpty && a == rows(13))
   }
 
   test("influence rejects non-positive trial counts") {
