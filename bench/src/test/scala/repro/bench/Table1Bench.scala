@@ -13,7 +13,7 @@ import repro.experiments.Table1
 class Table1Bench extends SparkSpec {
 
   test("Table 1: normalized IC runtimes across graphs, EWMs, implementations") {
-    val rows = Table1.run(spark, maxTrials = 1000, minTimeMs = 2000)
+    val rows = Table1.run(spark)
 
     println()
     println("=== Table 1 (normalized, fastest = 1) — paper: CyNetDiff=1, pure Python 8-12, NDlib 45-327 ===")

@@ -12,7 +12,7 @@ import repro.experiments.Table2
 class Table2Bench extends SparkSpec {
 
   test("Table 2: CELF runtimes by backend; paper: TV 2s vs 26s, WC 10s vs 153s, NDlib DNF") {
-    val cells = Table2.run(spark, trials = 100, fullScanBudgetMs = 60000)
+    val cells = Table2.run(spark)
 
     println()
     println("=== Table 2 (CELF, 10 seeds, random 7-regular n=5000, m=35000) ===")

@@ -6,19 +6,17 @@ import repro.experiments.Table1
 /** spark-submit entrypoint reproducing paper Table 1 (IC runtimes, 100
   * seeds, 3 graphs × 3 edge-weight models × 3 implementations).
   *
-  * Usage: spark-submit --class repro.jobs.Table1Job <jar> [maxTrials] [minTimeMs]
+  * Usage: spark-submit --class repro.jobs.Table1Job <jar>
   */
 object Table1Job {
   def main(args: Array[String]): Unit = {
-    val maxTrials = args.headOption.map(_.toInt).getOrElse(1000)
-    val minTimeMs = args.lift(1).map(_.toLong).getOrElse(1500L)
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("table1")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     try {
-      val rows = Table1.run(spark, maxTrials = maxTrials, minTimeMs = minTimeMs)
+      val rows = Table1.run(spark)
       println("=== Table 1 (normalized, fastest = 1) ===")
       println(Table1.render(rows))
       println()

@@ -10,12 +10,11 @@ package repro.core
   * once and resets *nothing* between trials, so per-trial cost is strictly
   * proportional to the edges incident to activated nodes.
   *
-  * `mark` holds each node's activation step, offset by a per-trial `base`:
-  * a node activated at step t of the current trial has `mark == base + t`,
-  * and a node with `mark < base` is not yet active in it. Each trial raises
-  * `base` by n + 1. A step is at most n - 1 (every step activates at least
-  * one node), so no mark an earlier trial left can reach the current
-  * `base`; the Long lasts 2^63 / (n + 1) trials.
+  * `mark` holds a node's state in the current trial above a per-trial `base`:
+  * `base + t` if activated at step t (t <= n - 1: each step activates a node),
+  * `base - 1` if pushed but inactive (LT only), lower if untouched. Raising
+  * `base` by n + 1 per trial leaves the last trial's marks at most `base - 2`
+  * and the initial zeros below `base - 1 = n`; the Long lasts 2^63/(n+1) trials.
   *
   * After a trial the activated nodes sit in `queue` in activation (BFS)
   * order, so their steps are non-decreasing; [[foreachActivation]] reads
@@ -24,7 +23,7 @@ package repro.core
   * Not thread-safe; create one per thread/partition.
   */
 sealed abstract class Simulator(protected val g: CsrGraph) {
-  /** `base + t` for a node activated at step t of the current trial. */
+  /** `base + t` for a node activated at step t of the current trial, `base - 1` for one pushed. */
   protected final val mark = new Array[Long](g.n)
   /** Activated nodes of the current trial, in activation order. */
   protected final val queue = new Array[Int](g.n)
@@ -41,7 +40,7 @@ sealed abstract class Simulator(protected val g: CsrGraph) {
     * 0, and return their count. Throws if a seed lies outside [0, n).
     */
   protected final def begin(seeds: Array[Int]): Int = {
-    base += g.n + 1
+    base += g.n + 1 // the + 1 keeps base - 1 above every mark of the last trial
     val b = base
     var hi = 0
     var i = 0
@@ -124,12 +123,10 @@ final class IcSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
   }
 }
 
-/** The linear-threshold kernel; see [[LinearThreshold]]. The weight
-  * accumulator and the cached threshold are valid while `accMark` equals the
-  * current trial's `base`, so stale values from earlier trials are never
-  * read, and each node's threshold is hashed once per trial however many
-  * pushes it receives. Rejects a graph in which some node's in-weight sum
-  * exceeds 1.
+/** The linear-threshold kernel; see [[LinearThreshold]]. A node's first push
+  * in a trial marks it `base - 1`, zeroes `acc` and draws `thr`, so neither is
+  * read outside the trial that set it, and θ_v is hashed once per trial. Rejects
+  * a graph in which some node's in-weight sum exceeds 1.
   */
 final class LtSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
   locally {
@@ -137,7 +134,6 @@ final class LtSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
     val v = sums.indexWhere(_ > 1 + 1e-9)
     require(v < 0, s"LT needs every in-weight sum <= 1, but node $v has ${sums(v)}")
   }
-  private val accMark = new Array[Long](g.n) // base of the trial that last reset acc and thr
   private val acc = new Array[Double](g.n)
   private val thr = new Array[Double](g.n) // θ_v, drawn on the first push of a trial
 
@@ -147,7 +143,6 @@ final class LtSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
     val weights = g.weights
     val mark = this.mark
     val queue = this.queue
-    val accMark = this.accMark
     val acc = this.acc
     val thr = this.thr
     var hi = begin(seeds)
@@ -160,9 +155,10 @@ final class LtSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
       val end = offsets(u + 1)
       while (j < end) {
         val v = targets(j)
-        if (mark(v) < b) {
-          if (accMark(v) != b) {
-            accMark(v) = b
+        val mv = mark(v)
+        if (mv < b) {
+          if (mv != b - 1) {
+            mark(v) = b - 1
             acc(v) = 0.0
             thr(v) = Rng.threshold(seed, trial, v)
           }

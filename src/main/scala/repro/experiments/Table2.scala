@@ -32,18 +32,17 @@ object Table2 {
   val Degree = 7
   val K = 10
   private val RngSeed = 7L
+  private val FullScanBudgetMs = 60000L // the NDlib-analog backend's DNF budget
 
   /** Run the table.
     *
-    * @param trials       Monte-Carlo worlds per σ̂ evaluation
-    * @param fullScanBudgetMs wall-clock budget for the NDlib-analog backend
+    * @param trials          Monte-Carlo worlds per σ̂ evaluation
     * @param includeFullScan  skip the deliberately slow backend when false
     *                         (unit tests); benches keep it on for the DNF row
     */
   def run(
       spark: SparkSession,
       trials: Int = 100,
-      fullScanBudgetMs: Long = 60000,
       includeFullScan: Boolean = true,
       n: Int = N,
       degree: Int = Degree,
@@ -52,7 +51,7 @@ object Table2 {
     val undirected = Generators.randomRegular(spark, n, degree, seed = 21)
     val edges = GraphOps.symmetrize(undirected).persist()
     val candidates = 0 until n
-    for {
+    try for {
       ewm <- Seq("TV", "WC")
       weighted = EdgeWeights(ewm, edges, seed = 31)
       triples = GraphOps.toTriples(weighted)
@@ -61,7 +60,7 @@ object Table2 {
         (new CsrEstimator(g, trials, RngSeed), Long.MaxValue),
         (new BoxedEstimator(n, triples, trials, RngSeed), Long.MaxValue),
       ) ++ (if (includeFullScan)
-              Seq((new FullScanEstimator(n, triples, trials, RngSeed), fullScanBudgetMs))
+              Seq((new FullScanEstimator(n, triples, trials, RngSeed), FullScanBudgetMs))
             else Nil)
       (est, budget) <- backends
     } yield {
@@ -69,7 +68,7 @@ object Table2 {
       // compile-and-ramp cost of each backend's hot path before timing.
       (0 until 10).foreach(v => est.total(Seq(v % n)))
       Cell(ewm, est.name, Celf.run(est.total, candidates, k, budget))
-    }
+    } finally edges.unpersist()
   }
 
   /** Paper-format rendering (seconds per cell; DNF for budget expiry). */

@@ -46,17 +46,17 @@ object MonteCarlo {
     }.toDF("trial", "node", "step")
   }
 
-  /** The one Spark fan-out: broadcasts `g` and maps each partition of the
-    * trial range [0, trials) through `f` with one reusable-state simulator,
-    * as the local hot path reuses one. A partition may get no trial. `seeds`
-    * are checked against [0, n) on the driver, before any job is built.
+  /** The one Spark fan-out: checks `seeds` on the driver, broadcasts `g` and
+    * maps each of min(trials, defaultParallelism) slices of the trial range
+    * [0, trials), none empty, through `f` with one reusable-state simulator.
     */
   private def perPartition[T: ClassTag](spark: SparkSession, g: CsrGraph, seeds: Array[Int], trials: Int, seed: Long, model: Model)(
       f: (Simulator, Iterator[Long]) => Iterator[T]): RDD[T] = {
     require(trials > 0, "trials must be positive")
     Simulator.requireSeeds(g.n, seeds.toSeq)
-    val bg = spark.sparkContext.broadcast(g)
-    spark.sparkContext.range(0L, trials).mapPartitions(it => f(model.simulator(bg.value, seed), it))
+    val sc = spark.sparkContext
+    val bg = sc.broadcast(g)
+    sc.range(0L, trials, 1L, math.min(trials, sc.defaultParallelism)).mapPartitions(it => f(model.simulator(bg.value, seed), it))
   }
 
   /** Distributed activated count summed over `trials` worlds: one partial sum

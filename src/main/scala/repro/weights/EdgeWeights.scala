@@ -2,7 +2,7 @@ package repro.weights
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.graph.Generators.unitHash
+import repro.graph.{Generators, GraphOps}
 
 /** Edge-weight models (EWM) from the paper's benchmarks, as DataFrame
   * transforms over a directed edge list `(src, dst)`.
@@ -25,7 +25,7 @@ object EdgeWeights {
 
   /** Trivalency: weight uniformly from {0.1, 0.01, 0.001}. */
   def trivalency(edges: DataFrame, seed: Long): DataFrame = {
-    val idx = (unitHash(lit("tv"), col("src"), col("dst"), lit(seed)) * 3).cast("int")
+    val idx = (Generators.unitHash(lit("tv"), col("src"), col("dst"), lit(seed)) * 3).cast("int")
     edges.select(
       col("src"),
       col("dst"),
@@ -38,14 +38,14 @@ object EdgeWeights {
     edges.select(
       col("src"),
       col("dst"),
-      unitHash(lit("ur"), col("src"), col("dst"), lit(seed)).as("weight"),
+      Generators.unitHash(lit("ur"), col("src"), col("dst"), lit(seed)).as("weight"),
     )
 
   /** Weighted cascade: weight(u→v) = 1 / in-degree(v). Pure SQL (groupBy +
     * join), oracle-checked; no seed — WC is deterministic in the graph.
     */
   def weightedCascade(edges: DataFrame): DataFrame = {
-    val indeg = edges.groupBy(col("dst").as("node")).agg(count(lit(1)).as("in_degree"))
+    val indeg = GraphOps.inDegrees(edges)
     edges
       .join(indeg, edges("dst") === indeg("node"))
       .select(col("src"), col("dst"), (lit(1.0) / col("in_degree")).as("weight"))

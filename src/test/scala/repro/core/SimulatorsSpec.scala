@@ -70,6 +70,27 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
     assert(hubSteps.count(_ > 1) > 40, s"hub must usually need several pushes: $hubSteps")
   }
 
+  test("LtSimulator: a mark set at step n-1 never reads as pushed next trial") {
+    // Path 0 → 1 → … → x with unit weights and a last edge of 0.5: a trial
+    // whose θ_x <= 0.5 activates x at step n - 1, the largest mark a trial
+    // can leave. The next trial (`base` raised by n + 1) seeds x's
+    // in-neighbour and draws θ_x > 0.5, so x must stay inactive; were that
+    // old mark equal to the new `base - 1`, the stale acc (0.5) and θ_x
+    // would be reused and x would activate.
+    val n = 6
+    val x = n - 1
+    val g = CsrGraph.fromTriples(n, (0 until x).map(i => (i, i + 1, if (i + 1 == x) 0.5 else 1.0)))
+    val adj = boxed(g)
+    val sim = new LtSimulator(g, 5)
+    val tA = Iterator.from(0).find(t => Rng.threshold(5, t, x) <= 0.5).get.toLong
+    val tB = Iterator.from(0).find(t => Rng.threshold(5, t, x) > 0.5).get.toLong
+    val a = sim.simulate(Array(0), tA)
+    val b = sim.simulate(Array(x - 1), tB)
+    assert(a.activationStep(x) == n - 1 && b.activationStep(x) == -1)
+    assert(a.activationStep.toSeq == BoxedFrontier.simulateLT(n, adj, Seq(0), tA, 5).activationStep.toSeq)
+    assert(b.activationStep.toSeq == BoxedFrontier.simulateLT(n, adj, Seq(x - 1), tB, 5).activationStep.toSeq)
+  }
+
   test("IcSimulator is immune to stale state when seed sets change between calls") {
     forAllRandom(iters = 40) { rnd =>
       val g = randomGraph(rnd, 5 + rnd.nextInt(20), rnd.nextInt(120))

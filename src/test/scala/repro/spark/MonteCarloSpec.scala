@@ -32,10 +32,11 @@ class MonteCarloSpec extends SparkSpec {
     assert(local == dist)
   }
 
-  test("distributed total equals the local total when partitions get 0, 1 or more trials") {
+  // The fan-out cuts t trials into min(t, p) partitions, p = defaultParallelism.
+  test("distributed total equals the local total over 1, p-1 and p partitions") {
     val p = spark.sparkContext.defaultParallelism
     for (model <- Seq(IndependentCascade, LinearThreshold); trials <- Seq(1, p - 1, p, p + 1, 30).filter(_ >= 1))
-      withClue(s"$model, $trials trials, $p partitions: ") {
+      withClue(s"$model, $trials trials over ${math.min(trials, p)} partitions: ") {
         assert(MonteCarlo.total(spark, g, seeds, trials, rngSeed, model) == model.simulator(g, rngSeed).total(seeds, trials))
       }
   }
@@ -122,11 +123,17 @@ class MonteCarloSpec extends SparkSpec {
     assert(math.abs(last - sigma) < 1e-9)
   }
 
-  test("distributed results are independent of partitioning") {
-    def rows(partitions: Int) = MonteCarlo.activations(spark, g, seeds, 30, rngSeed).repartition(partitions)
-      .collect().map(r => (r.getLong(0), r.getInt(1), r.getInt(2))).toSet
-    val a = rows(2)
-    assert(a.nonEmpty && a == rows(13))
+  test("activations equal the local simulator's over 1, p-1 and p partitions") {
+    val p = spark.sparkContext.defaultParallelism
+    for (model <- Seq(IndependentCascade, LinearThreshold); trials <- Seq(1, p - 1, p + 1).filter(_ >= 1))
+      withClue(s"$model, $trials trials over ${math.min(trials, p)} partitions: ") {
+        val dist = MonteCarlo.activations(spark, g, seeds, trials, rngSeed, model)
+          .collect().map(r => (r.getLong(0), r.getInt(1), r.getInt(2))).toSeq.sorted
+        val sim = model.simulator(g, rngSeed)
+        val local = Seq.newBuilder[(Long, Int, Int)]
+        (0 until trials).foreach(t => sim.foreachActivation(seeds, t.toLong)((v, s) => local += ((t.toLong, v, s))))
+        assert(dist.nonEmpty && dist == local.result().sorted)
+      }
   }
 
   test("influence rejects non-positive trial counts") {
