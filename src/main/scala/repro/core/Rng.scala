@@ -32,13 +32,21 @@ object Rng {
   /** Map a mixed 64-bit value to a double uniform in [0, 1). */
   @inline def toUnit(bits: Long): Double = (bits >>> 11) * 1.1102230246251565e-16 // 2^-53
 
+  /** The trial-independent part of directed edge (u, v)'s coin: the
+    * innermost of [[coin]]'s three hashes. [[IcSimulator]] computes it once
+    * per edge and keeps it, so each coin it draws costs two hashes.
+    */
+  @inline def edgeKey(u: Int, v: Int): Long = mix64((u.toLong << 32) ^ (v.toLong & 0xffffffffL))
+
+  /** The coin of the edge whose [[edgeKey]] is `key`, in a given trial. */
+  @inline def coinOf(seed: Long, trial: Long, key: Long): Double = toUnit(mix64(seed ^ mix64(trial ^ key)))
+
   /** Uniform [0,1) coin for directed edge (u, v) in a given trial.
     *
     * Depends only on the edge identity and the trial, never on traversal
     * order — this is what makes an IC trial a live-edge world.
     */
-  @inline def coin(seed: Long, trial: Long, u: Int, v: Int): Double =
-    toUnit(mix64(seed ^ mix64(trial ^ mix64((u.toLong << 32) ^ (v.toLong & 0xffffffffL)))))
+  @inline def coin(seed: Long, trial: Long, u: Int, v: Int): Double = coinOf(seed, trial, edgeKey(u, v))
 
   /** Uniform [0,1) LT threshold for node v in a given trial. */
   @inline def threshold(seed: Long, trial: Long, v: Int): Double =

@@ -93,13 +93,28 @@ object Simulator {
     seeds.find(s => s < 0 || s >= n).foreach(s => throw seedOutOfRange(s, n))
 }
 
-/** The independent-cascade kernel; see [[IndependentCascade]]. */
+/** The independent-cascade kernel; see [[IndependentCascade]]. It keeps
+  * `keys`, each edge's [[Rng.edgeKey]] in CSR order (8 B/edge), so a coin
+  * costs two hashes: `Rng.coinOf(seed, trial, keys(j))` equals
+  * `Rng.coin(seed, trial, u, targets(j))` bit for bit.
+  */
 final class IcSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
+  private val keys = {
+    val k = new Array[Long](g.m)
+    var u = 0
+    while (u < g.n) {
+      var j = g.offsets(u)
+      while (j < g.offsets(u + 1)) { k(j) = Rng.edgeKey(u, g.targets(j)); j += 1 }
+      u += 1
+    }
+    k
+  }
 
   def activatedCount(seeds: Array[Int], trial: Long): Int = {
     val offsets = g.offsets
     val targets = g.targets
     val weights = g.weights
+    val keys = this.keys
     val mark = this.mark
     val queue = this.queue
     var hi = begin(seeds)
@@ -112,7 +127,7 @@ final class IcSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
       val end = offsets(u + 1)
       while (j < end) {
         val v = targets(j)
-        if (mark(v) < b && Rng.coin(seed, trial, u, v) < weights(j)) {
+        if (mark(v) < b && Rng.coinOf(seed, trial, keys(j)) < weights(j)) {
           mark(v) = next
           queue(hi) = v; hi += 1
         }

@@ -55,15 +55,19 @@ object Celf {
     val it = candidates.distinct.iterator
     while (it.hasNext) {
       val v = it.next()
-      if (elapsedMs >= timeBudgetMs)
-        return ImResult(chosen, sigmas, evals, elapsedMs, completed = false)
+      if (elapsedMs >= timeBudgetMs) {
+        val ms = elapsedMs
+        return ImResult(chosen, sigmas, evals, ms, evals, ms, completed = false)
+      }
       heap.enqueue(Entry(sigma(Seq(v)), v, 0))
       evals += 1
     }
+    val round0Evals = evals
+    val round0Ms = elapsedMs
 
     while (chosen.size < k) {
       if (elapsedMs >= timeBudgetMs)
-        return ImResult(chosen, sigmas, evals, elapsedMs, completed = false)
+        return ImResult(chosen, sigmas, evals, elapsedMs, round0Evals, round0Ms, completed = false)
       val top = heap.dequeue()
       if (top.round == chosen.size) {
         // gain was computed against the current seed set — safe to select
@@ -76,6 +80,6 @@ object Celf {
         heap.enqueue(Entry(fresh, top.node, chosen.size))
       }
     }
-    ImResult(chosen, sigmas, evals, elapsedMs, completed = true)
+    ImResult(chosen, sigmas, evals, elapsedMs, round0Evals, round0Ms, completed = true)
   }
 }

@@ -7,6 +7,10 @@ package repro.im
   *                    at the seed prefix after each selection
   * @param evaluations number of σ̂ evaluations performed
   * @param elapsedMs   wall-clock duration of the run
+  * @param round0Evaluations σ̂ evaluations of round 0, the first pass that
+  *                    scores every candidate alone; the rest are the later
+  *                    (for CELF, lazy) rounds'
+  * @param round0Ms    wall-clock duration of round 0, at most `elapsedMs`
   * @param completed   false if a time budget expired before k seeds were
   *                    chosen (the paper's "did not finish" case)
   */
@@ -15,6 +19,8 @@ final case class ImResult(
     sigmaValues: Vector[Double],
     evaluations: Long,
     elapsedMs: Long,
+    round0Evaluations: Long,
+    round0Ms: Long,
     completed: Boolean,
 )
 
@@ -34,7 +40,10 @@ object Greedy {
   def run[V](sigma: Seq[Int] => V, candidates: Seq[Int], k: Int)(implicit num: Numeric[V]): ImResult = {
     require(k > 0 && k <= candidates.distinct.size, s"need 0 < k <= |candidates|, got k=$k")
     val start = System.nanoTime()
+    def elapsedMs: Long = (System.nanoTime() - start) / 1000000L
     var evals = 0L
+    var round0Evals = 0L
+    var round0Ms = 0L
     var chosen = Vector.empty[Int]
     var sigmas = Vector.empty[Double]
     var remaining = candidates.distinct.toVector
@@ -47,10 +56,11 @@ object Greedy {
         // Ties broken by first (lowest-index) candidate — CELF matches this.
         if (bestNode < 0 || num.gt(s, bestSigma)) { bestSigma = s; bestNode = v }
       }
+      if (chosen.isEmpty) { round0Evals = evals; round0Ms = elapsedMs }
       chosen :+= bestNode
       sigmas :+= num.toDouble(bestSigma)
       remaining = remaining.filterNot(_ == bestNode)
     }
-    ImResult(chosen, sigmas, evals, (System.nanoTime() - start) / 1000000L, completed = true)
+    ImResult(chosen, sigmas, evals, elapsedMs, round0Evals, round0Ms, completed = true)
   }
 }

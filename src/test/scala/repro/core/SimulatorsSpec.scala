@@ -152,6 +152,37 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
     interleaved(LinearThreshold, rnd => randomLtGraph(rnd, 2 + rnd.nextInt(25), rnd.nextInt(120)))
   }
 
+  /** `IcSimulator`, which draws its coins from a key per CSR slot, equals the
+    * boxed baseline, which hashes (u, v) per coin, on every seed over trials
+    * 0-99.
+    */
+  private def keyedMatchesBoxed(g: CsrGraph): Unit = {
+    val adj = boxed(g)
+    val sim = new IcSimulator(g, 31)
+    for (s <- 0 until g.n; t <- 0 until 100)
+      assert(sim.activatedCount(Array(s), t.toLong) ==
+        BoxedFrontier.activatedCountIC(adj, Seq(s), t.toLong, 31), s"seed $s, trial $t")
+  }
+
+  test("IcSimulator's edge keys: a graph with no edges") {
+    keyedMatchesBoxed(CsrGraph.fromTriples(4, Seq.empty))
+  }
+
+  test("IcSimulator's edge keys: a middle node with no out-edges") {
+    keyedMatchesBoxed(CsrGraph.fromTriples(5, Seq((0, 1, 0.6), (0, 2, 0.4), (2, 3, 0.7), (3, 4, 0.5), (4, 0, 0.3))))
+  }
+
+  test("IcSimulator's edge keys: the last node's row is not empty") {
+    keyedMatchesBoxed(CsrGraph.fromTriples(4, Seq((0, 1, 0.5), (1, 2, 0.5), (3, 0, 0.6), (3, 1, 0.4), (3, 2, 0.7))))
+  }
+
+  test("IcSimulator's edge keys: a row longer than 64 edges") {
+    // Hub 0 reaches 80 leaves, and every leaf points back at it.
+    val leaves = 1 to 80
+    keyedMatchesBoxed(CsrGraph.fromTriples(81,
+      leaves.map(v => (0, v, 0.05 + v / 100.0)) ++ leaves.map(v => (v, 0, 0.3))))
+  }
+
   test("repeating the same trial on one simulator instance is idempotent") {
     val rnd = new scala.util.Random(3)
     val g = randomGraph(rnd, 30, 150)

@@ -96,14 +96,20 @@ class TableSpec extends SparkSpec {
 
   test("Table2.render reports DNF rows for incomplete results") {
     val cell = Table2.Cell("TV", "fullscan",
-      repro.im.ImResult(Vector(1), Vector(2.0), 10, 61000, completed = false))
+      repro.im.ImResult(Vector(1), Vector(2.0), 10, 61000, 10, 61000, completed = false))
     assert(cell.display.contains("DNF"))
     assert(Table2.render(Seq(cell)).contains("fullscan"))
   }
 
   test("Table2.render reports seconds for completed results") {
     val cell = Table2.Cell("WC", "csr",
-      repro.im.ImResult(Vector(1, 2), Vector(2.0, 3.0), 10, 2500, completed = true))
+      repro.im.ImResult(Vector(1, 2), Vector(2.0, 3.0), 10, 2500, 8, 2000, completed = true))
     assert(cell.display.contains("2.50 s"))
+  }
+
+  test("Table2.render splits a completed cell into round 0 and the lazy rounds") {
+    val cell = Table2.Cell("WC", "csr",
+      repro.im.ImResult(Vector(1, 2), Vector(2.0, 3.0), 5126, 630, 5000, 480, completed = true))
+    assert(cell.display == "0.63 s (5126 evals; round 0 0.48 s, 5000 evals; lazy 0.15 s, 126 evals)")
   }
 }

@@ -202,6 +202,37 @@ class GreedyCelfSpec extends SparkSpec with PropHelpers {
     assert(res.seeds.size < 5)
   }
 
+  test("CELF's round 0 scores each distinct candidate once, within the run's time") {
+    val (_, g) = graph("WC", n = 60, p = 0.06)
+    val est = new CsrEstimator(g, 40, rngSeed)
+    val res = Celf.run(est.total, (0 until 60) ++ (0 until 10), 5)
+    assert(res.completed)
+    assert(res.round0Evaluations == 60)
+    assert(res.round0Ms >= 0 && res.round0Ms <= res.elapsedMs)
+    assert(res.evaluations > res.round0Evaluations)
+  }
+
+  test("CELF's budget expiring in round 0 counts every evaluation as round 0") {
+    val (_, g) = graph("WC", n = 60, p = 0.06)
+    val est = new CsrEstimator(g, 40, rngSeed)
+    // Each σ̂ sleeps, so a 15 ms budget ends round 0 after a few candidates.
+    val slow: Seq[Int] => Long = s => { Thread.sleep(5); est.total(s) }
+    val res = Celf.run(slow, 0 until 60, 5, timeBudgetMs = 15)
+    assert(!res.completed && res.seeds.isEmpty)
+    assert(res.evaluations > 0 && res.evaluations < 60)
+    assert(res.round0Evaluations == res.evaluations)
+    assert(res.round0Ms == res.elapsedMs)
+  }
+
+  test("Greedy's round 0 is its first pass over the distinct candidates") {
+    val (_, g) = graph("TV", n = 30, p = 0.1)
+    val est = new CsrEstimator(g, 20, rngSeed)
+    val res = Greedy.run(est.total, (0 until 30) ++ (0 until 5), 3)
+    assert(res.round0Evaluations == 30)
+    assert(res.evaluations == 30 + 29 + 28)
+    assert(res.round0Ms >= 0 && res.round0Ms <= res.elapsedMs)
+  }
+
   test("CELF completes within a generous budget") {
     val (_, g) = graph("TV", n = 30, p = 0.1)
     val est = new CsrEstimator(g, 20, rngSeed)
