@@ -99,16 +99,7 @@ object Simulator {
   * `Rng.coin(seed, trial, u, targets(j))` bit for bit.
   */
 final class IcSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
-  private val keys = {
-    val k = new Array[Long](g.m)
-    var u = 0
-    while (u < g.n) {
-      var j = g.offsets(u)
-      while (j < g.offsets(u + 1)) { k(j) = Rng.edgeKey(u, g.targets(j)); j += 1 }
-      u += 1
-    }
-    k
-  }
+  private val keys = IcSimulator.edgeKeys(g)
 
   def activatedCount(seeds: Array[Int], trial: Long): Int = {
     val offsets = g.offsets
@@ -135,6 +126,29 @@ final class IcSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
       }
     }
     hi
+  }
+}
+
+object IcSimulator {
+
+  /** Each edge's [[Rng.edgeKey]], in CSR order. A method, not an initializer
+    * block: scalac runs such a block with `this` on the operand stack, and
+    * HotSpot cannot compile a loop entered that way on the stack (OSR), so a
+    * simulator built a few times (one per Spark task) would hash every edge
+    * in the interpreter.
+    */
+  private def edgeKeys(g: CsrGraph): Array[Long] = {
+    val offsets = g.offsets
+    val targets = g.targets
+    val keys = new Array[Long](g.m)
+    var u = 0
+    while (u < g.n) {
+      var j = offsets(u)
+      val end = offsets(u + 1)
+      while (j < end) { keys(j) = Rng.edgeKey(u, targets(j)); j += 1 }
+      u += 1
+    }
+    keys
   }
 }
 
