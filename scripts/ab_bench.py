@@ -5,22 +5,24 @@
     python3 -m doctest scripts/ab_bench.py    # the summary arithmetic's tests
 
 Each revision is unpacked with `git archive` into its own temporary directory
-and built there by perfbench/build.py. Then, per workload, seeds
-first-seed .. first-seed + pairs - 1 run untraced and the first traced-pairs
-seeds run traced (`perfbench/run.py --trace 1`). Both sides of a pair use the
-same seed; odd seeds run the parent first and even seeds the change first, so
-a slow drift of the host lands on both sides. Runs go one at a time.
+and built there by perfbench/build.py. Then, for each workload and the run
+length that BENCHMARK.json declares, seeds 1 .. pairs run untraced and seeds
+1 .. traced-pairs run traced (`perfbench/run.py --trace 1`). Both sides of a
+pair use the same seed; odd seeds run the parent first and even seeds the
+change first, so a slow drift of the host lands on both sides. Runs go one at
+a time.
 
 The output holds every run (side, workload, seed, trace flag, the run's
 calibration loop times, failed checks and its result line), the machine, and
 per trace flag and workload a summary: each metric's median and quartiles on
 both sides and `change_lower_pairs`, the number of pairs whose change value
 is below the parent's. The file is rewritten after every run, so an
-interrupted session keeps what it measured. Uses only git and python3.
+interrupted A/B keeps what it measured. Uses only git and python3.
 """
 
 import argparse
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -32,7 +34,6 @@ from pathlib import Path
 sys.dont_write_bytecode = True
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ["celf-regular", "mc-facebook"]
 MACHINE_KEYS = ["caches", "cpu_model", "jvm", "max_heap_mb", "nproc", "scala_version", "spark_cores",
                 "spark_master", "spark_version", "xmx"]
 
@@ -123,6 +124,22 @@ def summarize(runs):
     return out
 
 
+def render(doc):
+    """The BENCH file's text: indented JSON, with each run on one line.
+
+    >>> print(render({"what": "x", "runs": [{"seed": 1, "trace": 0}]}), end="")
+    {
+     "what": "x",
+     "runs": [
+      {"seed":1,"trace":0}
+     ]
+    }
+    """
+    runs = [json.dumps(r, separators=(",", ":"), ensure_ascii=False) for r in doc["runs"]]
+    text = json.dumps({**doc, "runs": [f"@run{i}@" for i in range(len(runs))]}, indent=1, ensure_ascii=False)
+    return re.sub(r'"@run(\d+)@"', lambda m: runs[int(m.group(1))], text) + "\n"
+
+
 def rev_parse(rev):
     return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
                           check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
@@ -165,14 +182,14 @@ def main():
     ap.add_argument("--what", default="", help="one sentence on what the change does")
     ap.add_argument("--pairs", type=int, default=10, help="untraced pairs per workload")
     ap.add_argument("--traced-pairs", type=int, default=3, help="traced pairs per workload")
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=15)
-    ap.add_argument("--workloads", nargs="+", default=WORKLOADS)
     ap.add_argument("--workdir", help="where the two trees go (default: a new temporary directory)")
     ap.add_argument("--keep", action="store_true", help="keep the two trees afterwards")
     a = ap.parse_args()
 
     commits = {"parent": rev_parse(a.parent), "change": rev_parse(a.change)}
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = contract["run_seconds"]
+    workloads = [w["name"] for w in contract["workloads"]]
     work = Path(tempfile.mkdtemp(prefix="ab_bench-", dir=a.workdir))
     trees = {side: work / side for side in commits}
     out = Path(a.out)
@@ -180,12 +197,11 @@ def main():
         "what": a.what,
         "parent_commit": commits["parent"],
         "change": commits["change"],
-        "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {a.seconds:g} --trace <0|1>",
+        "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g} --trace <0|1>",
         "protocol": (
             "parent and change each unpacked with git archive into a fresh directory and built by "
             "perfbench/build.py; runs one at a time; within a pair, odd seeds run parent first, even seeds "
-            f"change first. Untraced: seeds {a.first_seed}-{a.first_seed + a.pairs - 1} per workload. "
-            f"Traced: seeds {a.first_seed}-{a.first_seed + a.traced_pairs - 1} per workload. "
+            f"change first. Untraced: seeds 1-{a.pairs} per workload. Traced: seeds 1-{a.traced_pairs} per workload. "
             "Written by scripts/ab_bench.py."),
         "machine": {},
         "summary": {},
@@ -196,16 +212,16 @@ def main():
             print(f"building {side} {commit[:10]} in {trees[side]}", file=sys.stderr)
             unpack(commit, trees[side])
         for trace, count in ((0, a.pairs), (1, a.traced_pairs)):
-            for workload in a.workloads:
-                for seed in range(a.first_seed, a.first_seed + count):
+            for workload in workloads:
+                for seed in range(1, count + 1):
                     order = ("parent", "change") if seed % 2 else ("change", "parent")
                     for side in order:
-                        record, provenance = run_one(trees[side], side, workload, seed, a.seconds, trace)
+                        record, provenance = run_one(trees[side], side, workload, seed, seconds, trace)
                         doc["runs"].append(record)
                         if provenance and not doc["machine"]:
                             doc["machine"] = {k: provenance[k] for k in MACHINE_KEYS if k in provenance}
                         doc["summary"] = summarize(doc["runs"])
-                        out.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
+                        out.write_text(render(doc))
                         metric = (record["result"] or {}).get("metrics", {}).get("op_ms", {}).get("value")
                         print(f"{workload} seed {seed} trace {trace} {side}: op_ms {metric} "
                               f"calibration {record['calibration_ms']} {record.get('error', '')}", file=sys.stderr)
