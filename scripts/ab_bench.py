@@ -1,16 +1,16 @@
 """A/B-run the repo benchmark on two revisions and write a BENCH_*.json file.
 
     python3 scripts/ab_bench.py --parent HEAD~1 --change HEAD \\
-        --pairs 10 --traced-pairs 3 --out BENCH_<n>_<slug>.json --what "..."
+        --out BENCH_<n>_<slug>.json "one sentence on what the change does"
     python3 -m doctest scripts/ab_bench.py    # the summary arithmetic's tests
 
 Each revision is unpacked with `git archive` into its own temporary directory
 and built there by perfbench/build.py. Then, for each workload and the run
-length that BENCHMARK.json declares, seeds 1 .. pairs run untraced and seeds
-1 .. traced-pairs run traced (`perfbench/run.py --trace 1`). Both sides of a
+length that BENCHMARK.json declares, seeds 1 .. PAIRS run untraced and seeds
+1 .. TRACED_PAIRS run traced (`perfbench/run.py --trace 1`). Both sides of a
 pair use the same seed; odd seeds run the parent first and even seeds the
 change first, so a slow drift of the host lands on both sides. Runs go one at
-a time.
+a time. The two trees are deleted when the script ends.
 
 The output holds every run (side, workload, seed, trace flag, the run's
 calibration loop times, failed checks and its result line), the machine, and
@@ -36,6 +36,8 @@ sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
 MACHINE_KEYS = ["caches", "cpu_model", "jvm", "max_heap_mb", "nproc", "scala_version", "spark_cores",
                 "spark_master", "spark_version", "xmx"]
+PAIRS = 10
+TRACED_PAIRS = 3
 
 
 def quartiles(xs):
@@ -179,11 +181,8 @@ def main():
     ap.add_argument("--parent", required=True, help="the baseline revision")
     ap.add_argument("--change", required=True, help="the revision under test")
     ap.add_argument("--out", required=True, help="the BENCH JSON file to write")
-    ap.add_argument("--what", default="", help="one sentence on what the change does")
-    ap.add_argument("--pairs", type=int, default=10, help="untraced pairs per workload")
-    ap.add_argument("--traced-pairs", type=int, default=3, help="traced pairs per workload")
     ap.add_argument("--workdir", help="where the two trees go (default: a new temporary directory)")
-    ap.add_argument("--keep", action="store_true", help="keep the two trees afterwards")
+    ap.add_argument("what", help="one sentence on what the change does")
     a = ap.parse_args()
 
     commits = {"parent": rev_parse(a.parent), "change": rev_parse(a.change)}
@@ -201,7 +200,7 @@ def main():
         "protocol": (
             "parent and change each unpacked with git archive into a fresh directory and built by "
             "perfbench/build.py; runs one at a time; within a pair, odd seeds run parent first, even seeds "
-            f"change first. Untraced: seeds 1-{a.pairs} per workload. Traced: seeds 1-{a.traced_pairs} per workload. "
+            f"change first. Untraced: seeds 1-{PAIRS} per workload. Traced: seeds 1-{TRACED_PAIRS} per workload. "
             "Written by scripts/ab_bench.py."),
         "machine": {},
         "summary": {},
@@ -211,7 +210,7 @@ def main():
         for side, commit in commits.items():
             print(f"building {side} {commit[:10]} in {trees[side]}", file=sys.stderr)
             unpack(commit, trees[side])
-        for trace, count in ((0, a.pairs), (1, a.traced_pairs)):
+        for trace, count in ((0, PAIRS), (1, TRACED_PAIRS)):
             for workload in workloads:
                 for seed in range(1, count + 1):
                     order = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -226,8 +225,7 @@ def main():
                         print(f"{workload} seed {seed} trace {trace} {side}: op_ms {metric} "
                               f"calibration {record['calibration_ms']} {record.get('error', '')}", file=sys.stderr)
     finally:
-        if not a.keep:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     return 0 if all(r["result"] for r in doc["runs"]) else 1
 
 

@@ -10,10 +10,17 @@ sealed trait Model extends Serializable {
 
   /** A reusable-state simulator for this model on `g`, drawing its random
     * world from `seed`. Not thread-safe; build one per thread or partition.
+    * Building one is not free: an [[IcSimulator]] hashes all m edges into
+    * its key table (O(m)), so reuse one simulator across trials and seed
+    * sets instead of building one per trial.
     */
   def simulator(g: CsrGraph, seed: Long): Simulator
 
   /** Run one trial with per-node activation steps.
+    *
+    * A convenience for one-off trials: each call builds a new [[simulator]],
+    * which costs O(m) for independent cascade on top of the trial itself.
+    * Loops over trials should build one simulator and call it.
     *
     * @param g     CSR graph; `g.weights(i)` is the weight of edge
     *              (src, targets(i))

@@ -96,7 +96,9 @@ object Simulator {
 /** The independent-cascade kernel; see [[IndependentCascade]]. It keeps
   * `keys`, each edge's [[Rng.edgeKey]] in CSR order (8 B/edge), so a coin
   * costs two hashes: `Rng.coinOf(seed, trial, keys(j))` equals
-  * `Rng.coin(seed, trial, u, targets(j))` bit for bit.
+  * `Rng.coin(seed, trial, u, targets(j))` bit for bit. The constructor
+  * builds `keys` in O(m), one hash per edge, so build a simulator once and
+  * reuse it.
   */
 final class IcSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
   private val keys = IcSimulator.edgeKeys(g)
