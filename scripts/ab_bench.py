@@ -13,10 +13,11 @@ change first, so a slow drift of the host lands on both sides. Runs go one at
 a time. The two trees are deleted when the script ends.
 
 The output holds every run (side, workload, seed, trace flag, the run's
-calibration loop times, failed checks and its result line), the machine, and
-per trace flag and workload a summary: each metric's median and quartiles on
-both sides and `change_lower_pairs`, the number of pairs whose change value
-is below the parent's. The file is rewritten after every run, so an
+calibration loop times, failed checks, its report lines such as
+`ic_trial_ms.WC` and its result line), the machine, and per trace flag and
+workload a summary: each result metric's and report line's median and
+quartiles on both sides and `change_lower_pairs`, the number of pairs whose
+change value is below the parent's. The file is rewritten after every run, so an
 interrupted A/B keeps what it measured. Uses only git and python3.
 """
 
@@ -85,15 +86,42 @@ def summarize_metric(pairs):
     return out
 
 
+REPORT_LINE = re.compile(r"^# (\S+)\s+(\S+) (\S+) \(n=(\d+)")
+
+
+def parse_report(lines):
+    """The run report's `# <name> <value> <unit> (n=…)` lines as
+    {name: {"value", "unit", "n"}}; provenance, failed-check and layer lines
+    are skipped.
+
+    >>> r = parse_report(["# provenance {}", "# ic_trial_ms.WC  1.23456 ms (n=120, p99 2.5)",
+    ...                   "# retained_heap_mb 75.2 MB (n=1)", "# FAILED check mc.round_0 (n=1)",
+    ...                   "# layer core.rng_coin_ns  3.1 ns", '{"correct": true}'])
+    >>> r["ic_trial_ms.WC"]
+    {'value': 1.23456, 'unit': 'ms', 'n': 120}
+    >>> sorted(r)
+    ['ic_trial_ms.WC', 'retained_heap_mb']
+    """
+    out = {}
+    for line in lines:
+        if line.startswith(("# provenance ", "# FAILED check ", "# layer ")):
+            continue
+        m = REPORT_LINE.match(line)
+        if m:
+            out[m.group(1)] = {"value": float(m.group(2)), "unit": m.group(3), "n": int(m.group(4))}
+    return out
+
+
 def summarize(runs):
     """Per trace flag and workload: pair count, operation counts, calibration
-    medians and one `summarize_metric` entry per metric both sides report.
+    medians, and one `summarize_metric` entry per result metric (`metrics`)
+    and per report line (`report`) that every run of the pairs has.
     A seed counts as a pair only when both of its runs produced a result.
 
     >>> def run(side, seed, op, cal):
     ...     return {"side": side, "workload": "w", "seed": seed, "trace": 0, "calibration_ms": [cal],
-    ...             "failed_checks": [], "result": {"attempted": 10, "failed": 0,
-    ...             "metrics": {"op_ms": {"value": op, "unit": "ms"}}}}
+    ...             "failed_checks": [], "report": {"x_ms": {"value": op / 2, "unit": "ms", "n": 3}},
+    ...             "result": {"attempted": 10, "failed": 0, "metrics": {"op_ms": {"value": op, "unit": "ms"}}}}
     >>> runs = [run("parent", 1, 5.0, 100), run("change", 1, 4.0, 110),
     ...         run("change", 2, 6.0, 120), run("parent", 2, 7.0, 130)]
     >>> s = summarize(runs)["untraced"]["w"]
@@ -101,6 +129,8 @@ def summarize(runs):
     (2, {'parent': 20, 'change': 20}, {'parent': 115.0, 'change': 115.0})
     >>> s["metrics"]["op_ms"]["parent_median"], s["metrics"]["op_ms"]["change_lower_pairs"]
     (6.0, 2)
+    >>> s["report"]["x_ms"]["parent_median"], s["report"]["x_ms"]["change_lower_pairs"]
+    (3.0, 2)
     """
     out = {}
     keyed = {(r["trace"], r["workload"], r["seed"], r["side"]): r for r in runs if r.get("result")}
@@ -111,17 +141,20 @@ def summarize(runs):
             if not seeds:
                 continue
             sides = {side: [keyed[(trace, w, s, side)] for s in seeds] for side in ("parent", "change")}
-            names = [m for m in sides["parent"][0]["result"]["metrics"]
-                     if all(m in r["result"]["metrics"] for side in sides.values() for r in side)]
-            val = lambda r, m: r["result"]["metrics"][m]["value"]
+            pairs = list(zip(sides["parent"], sides["change"]))
+
+            def summary(table):
+                names = [m for m in table(sides["parent"][0]) if all(m in table(r) for p in pairs for r in p)]
+                return {m: summarize_metric([(table(p)[m]["value"], table(c)[m]["value"]) for p, c in pairs])
+                        for m in names}
             out.setdefault(label, {})[w] = {
                 "pairs": len(seeds),
                 "failed_ops": {k: sum(r["result"]["failed"] for r in v) for k, v in sides.items()},
                 "attempted_ops": {k: sum(r["result"]["attempted"] for r in v) for k, v in sides.items()},
                 "calibration_ms_median": {
                     k: round(statistics.median(c for r in v for c in r["calibration_ms"]), 1) for k, v in sides.items()},
-                "metrics": {m: summarize_metric([(val(p, m), val(c, m)) for p, c in zip(sides["parent"], sides["change"])])
-                            for m in names},
+                "metrics": summary(lambda r: r["result"]["metrics"]),
+                "report": summary(lambda r: r.get("report", {})),
             }
     return out
 
@@ -168,6 +201,7 @@ def run_one(tree, side, workload, seed, seconds, trace):
     record = {"side": side, "workload": workload, "seed": seed, "trace": trace,
               "calibration_ms": provenance.get("calibration_ms", []),
               "failed_checks": [l[len("# FAILED check "):] for l in lines if l.startswith("# FAILED check ")],
+              "report": parse_report(lines),
               "result": None}
     if res.returncode == 0 and lines:
         record["result"] = json.loads(lines[-1])

@@ -93,15 +93,16 @@ object Simulator {
     seeds.find(s => s < 0 || s >= n).foreach(s => throw seedOutOfRange(s, n))
 }
 
-/** The independent-cascade kernel; see [[IndependentCascade]]. It keeps
+/** The independent-cascade kernel; see [[IndependentCascade]]. It reads
   * `keys`, each edge's [[Rng.edgeKey]] in CSR order (8 B/edge), so a coin
   * costs two hashes: `Rng.coinOf(seed, trial, keys(j))` equals
-  * `Rng.coin(seed, trial, u, targets(j))` bit for bit. The constructor
-  * builds `keys` in O(m), one hash per edge, so build a simulator once and
-  * reuse it.
+  * `Rng.coin(seed, trial, u, targets(j))` bit for bit. The table belongs to
+  * the graph's [[CsrTopology]]: the first simulator on a topology builds it
+  * in O(m), one hash per edge, and every later one, on any weighting of the
+  * same edge set, reuses it. A simulator itself allocates O(n).
   */
 final class IcSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
-  private val keys = IcSimulator.edgeKeys(g)
+  private[core] val keys = g.topology.edgeKeys
 
   def activatedCount(seeds: Array[Int], trial: Long): Int = {
     val offsets = g.offsets
@@ -128,29 +129,6 @@ final class IcSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
       }
     }
     hi
-  }
-}
-
-object IcSimulator {
-
-  /** Each edge's [[Rng.edgeKey]], in CSR order. A method, not an initializer
-    * block: scalac runs such a block with `this` on the operand stack, and
-    * HotSpot cannot compile a loop entered that way on the stack (OSR), so a
-    * simulator built a few times (one per Spark task) would hash every edge
-    * in the interpreter.
-    */
-  private def edgeKeys(g: CsrGraph): Array[Long] = {
-    val offsets = g.offsets
-    val targets = g.targets
-    val keys = new Array[Long](g.m)
-    var u = 0
-    while (u < g.n) {
-      var j = offsets(u)
-      val end = offsets(u + 1)
-      while (j < end) { keys(j) = Rng.edgeKey(u, targets(j)); j += 1 }
-      u += 1
-    }
-    keys
   }
 }
 

@@ -138,6 +138,84 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
       new CsrGraph(1, Array(0, 1), Array(0), Array.emptyDoubleArray))
   }
 
+  /** A fixed random edge list no other test builds, with fresh weights. */
+  private def sharedEdges(rnd: scala.util.Random, n: Int, m: Int): Seq[(Int, Int, Double)] =
+    Seq.fill(m)((rnd.nextInt(n), rnd.nextInt(n), rnd.nextDouble()))
+
+  private def reweighted(triples: Seq[(Int, Int, Double)], rnd: scala.util.Random): Seq[(Int, Int, Double)] =
+    triples.map { case (u, v, _) => (u, v, rnd.nextDouble()) }
+
+  test("graphs on one edge set share one topology and one key table, whatever their weights") {
+    val rnd = new scala.util.Random(1919)
+    val base = sharedEdges(rnd, 300, 2000)
+    val g = CsrGraph.fromTriples(300, base)
+    val variants = Seq(
+      "other weights" -> reweighted(base, rnd),
+      "permuted input" -> rnd.shuffle(reweighted(base, rnd)),
+      "a duplicated edge" -> (reweighted(base, rnd) :+ (base(7)._1, base(7)._2, 0.125)),
+    )
+    val keys = new IcSimulator(g, 5).keys
+    assert(keys eq g.topology.edgeKeys)
+    variants.foreach { case (what, triples) =>
+      val h = CsrGraph.fromTriples(300, triples)
+      assert(h.topology eq g.topology, what)
+      assert((h.offsets eq g.offsets) && (h.targets eq g.targets), what)
+      assert(new IcSimulator(h, 9).keys eq keys, what)
+      assert(!h.weights.sameElements(g.weights), what)
+      assertSameCsr(h, referenceBuild(300, triples), what)
+    }
+  }
+
+  test("graphs with another edge set or another n do not share a topology") {
+    val rnd = new scala.util.Random(1920)
+    val base = sharedEdges(rnd, 200, 1000)
+    val g = CsrGraph.fromTriples(200, base)
+    val (u, v, _) = base.head
+    val without = base.filter(e => (e._1, e._2) != ((u, v)))
+    val free = (0 until 200).find(x => !base.exists(e => e._1 == u && e._2 == x)).get
+    val others = Seq(
+      "one edge fewer" -> CsrGraph.fromTriples(200, without),
+      "one edge redirected" -> CsrGraph.fromTriples(200, without :+ ((u, free, 0.5))),
+      "another n" -> CsrGraph.fromTriples(201, base),
+    )
+    assert(others(1)._2.offsets.sameElements(g.offsets))
+    others.foreach { case (what, h) =>
+      assert(h.topology ne g.topology, what)
+      assert(h.topology != g.topology, what)
+      assert(new IcSimulator(h, 5).keys ne new IcSimulator(g, 5).keys, what)
+    }
+  }
+
+  private def serialize(x: AnyRef): Array[Byte] = {
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(x)
+    out.close()
+    bytes.toByteArray
+  }
+
+  private def deserialize[T](bytes: Array[Byte]): T =
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes)).readObject().asInstanceOf[T]
+
+  test("a serialized graph ships no key table, and its copy simulates as the boxed baseline does") {
+    val rnd = new scala.util.Random(1921)
+    val g = CsrGraph.fromTriples(60, sharedEdges(rnd, 60, 300).map { case (u, v, w) => (u, v, w / 2) })
+    // A deserialized copy keeps its own topology, whose table is not built yet.
+    val copy = deserialize[CsrGraph](serialize(g))
+    assert(copy.topology ne g.topology)
+    assert(copy.topology == g.topology)
+    val unbuilt = serialize(copy).length
+    val sim = new IcSimulator(copy, 31)
+    assert(sim.keys ne g.topology.edgeKeys)
+    assert(sim.keys.sameElements(g.topology.edgeKeys))
+    assert(serialize(copy).length == unbuilt)
+    assert(serialize(g).length == unbuilt)
+    val adj = repro.baselines.BoxedFrontier.buildAdjacency(copy.edgeTriples)
+    for (s <- 0 until copy.n; t <- 0 until 100)
+      assert(sim.activatedCount(Array(s), t.toLong) ==
+        repro.baselines.BoxedFrontier.activatedCountIC(adj, Seq(s), t.toLong, 31), s"seed $s, trial $t")
+  }
+
   /** An edge DataFrame's CSR: collected by `toTriples`, then `fromTriples`. */
   private def fromDataFrame(df: org.apache.spark.sql.DataFrame, n: Int): CsrGraph =
     CsrGraph.fromTriples(n, GraphOps.toTriples(df))

@@ -183,6 +183,27 @@ class SimulatorsSpec extends AnyFunSuite with PropHelpers {
       leaves.map(v => (0, v, 0.05 + v / 100.0)) ++ leaves.map(v => (v, 0, 0.3))))
   }
 
+  test("IcSimulators built on one fresh graph by 4 threads at once share its key table") {
+    val rnd = new scala.util.Random(1922)
+    val g = randomGraph(rnd, 2000, 20000)
+    val adj = boxed(g)
+    val seeds = Array(0, 1, 2)
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val built = (0 until 4).map { _ =>
+        pool.submit(new java.util.concurrent.Callable[IcSimulator] {
+          def call(): IcSimulator = { start.await(); new IcSimulator(g, 13) }
+        })
+      }
+      start.countDown()
+      val sims = built.map(_.get(60, java.util.concurrent.TimeUnit.SECONDS))
+      assert(sims.forall(_.keys eq g.topology.edgeKeys))
+      for (sim <- sims; t <- 0 until 20)
+        assert(sim.activatedCount(seeds, t.toLong) == BoxedFrontier.activatedCountIC(adj, seeds.toSeq, t.toLong, 13), s"trial $t")
+    } finally pool.shutdownNow()
+  }
+
   test("repeating the same trial on one simulator instance is idempotent") {
     val rnd = new scala.util.Random(3)
     val g = randomGraph(rnd, 30, 150)
