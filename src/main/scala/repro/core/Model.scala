@@ -11,8 +11,8 @@ sealed trait Model extends Serializable {
   /** A reusable-state simulator for this model on `g`, drawing its random
     * world from `seed`. Not thread-safe; build one per thread or partition.
     * Building one allocates O(n). The first [[IcSimulator]] on a graph's
-    * edge set also hashes all m edges into the key table that every later
-    * one, on any weighting of that edge set, shares; so only it pays O(m).
+    * [[CsrTopology]] also hashes all m edges into the key table that every
+    * later one on that topology shares; so only it pays O(m).
     */
   def simulator(g: CsrGraph, seed: Long): Simulator
 
@@ -20,7 +20,7 @@ sealed trait Model extends Serializable {
     *
     * A convenience for one-off trials: each call builds a new [[simulator]],
     * which allocates O(n) on top of the trial itself, and for independent
-    * cascade O(m) more if it is the first on the graph's edge set. Loops
+    * cascade O(m) more if it is the first on the graph's [[CsrTopology]]. Loops
     * over trials should build one simulator and call it.
     *
     * @param g     CSR graph; `g.weights(i)` is the weight of edge

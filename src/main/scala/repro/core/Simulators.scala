@@ -97,9 +97,9 @@ object Simulator {
   * `keys`, each edge's [[Rng.edgeKey]] in CSR order (8 B/edge), so a coin
   * costs two hashes: `Rng.coinOf(seed, trial, keys(j))` equals
   * `Rng.coin(seed, trial, u, targets(j))` bit for bit. The table belongs to
-  * the graph's [[CsrTopology]]: the first simulator on a topology builds it
-  * in O(m), one hash per edge, and every later one, on any weighting of the
-  * same edge set, reuses it. A simulator itself allocates O(n).
+  * the graph's [[CsrTopology]] (which says when graphs share one): the first
+  * simulator on a topology builds it in O(m), one hash per edge, and every
+  * later one reuses it. A simulator itself allocates O(n).
   */
 final class IcSimulator(graph: CsrGraph, seed: Long) extends Simulator(graph) {
   private[core] val keys = g.topology.edgeKeys

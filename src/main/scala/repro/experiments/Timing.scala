@@ -18,7 +18,7 @@ object Timing {
   private val Warmup = 3
 
   /** Time `runTrial` adaptively; `runTrial(t)` must execute trial index t. */
-  def perTrialMs(runTrial: Long => Unit, maxTrials: Int = 1000, minTimeMs: Long = 1500): PerTrial = {
+  def perTrialMs(runTrial: Long => Unit, maxTrials: Int, minTimeMs: Long): PerTrial = {
     require(maxTrials > 0, "maxTrials must be positive")
     var t = 0L
     while (t < Warmup) { runTrial(t); t += 1 }

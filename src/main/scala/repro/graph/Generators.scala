@@ -80,8 +80,10 @@ object Generators {
     * degree power law with exponent ≈ 1 + 1/beta (beta=0.66 → γ≈2.5, the
     * social-network regime). Candidates are oversampled, canonicalized, and
     * the lexicographically-hashed first `m` edges kept, so the result is
-    * deterministic with exactly `m` undirected edges (assuming enough
-    * distinct candidates; asserted).
+    * deterministic with `m` undirected edges if the 2.5m draws give at least
+    * `m` distinct ones. Nothing checks that here (`limit` silently returns
+    * fewer rows); `GeneratorsSpec` pins 88,234 edges at the Facebook
+    * substitute's parameters.
     */
   def chungLuPowerLaw(spark: SparkSession, n: Int, m: Int, beta: Double, seed: Long): DataFrame = {
     require(n > 1 && m > 0 && beta > 0 && beta < 1, s"bad CL params n=$n m=$m beta=$beta")

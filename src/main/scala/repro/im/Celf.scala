@@ -36,7 +36,8 @@ object Celf {
       k: Int,
       timeBudgetMs: Long = Long.MaxValue,
   )(implicit num: Numeric[V]): ImResult = {
-    require(k > 0 && k <= candidates.distinct.size, s"need 0 < k <= |candidates|, got k=$k")
+    val distinct = candidates.distinct
+    require(k > 0 && k <= distinct.size, s"need 0 < k <= |candidates|, got k=$k")
     val start = System.nanoTime()
     def elapsedMs: Long = (System.nanoTime() - start) / 1000000L
     var evals = 0L
@@ -52,7 +53,7 @@ object Celf {
     var current = num.zero
 
     // Round 0: every candidate's gain is σ({v}) (σ(∅) = 0 activated nodes).
-    val it = candidates.distinct.iterator
+    val it = distinct.iterator
     while (it.hasNext) {
       val v = it.next()
       if (elapsedMs >= timeBudgetMs) {

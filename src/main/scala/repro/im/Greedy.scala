@@ -38,7 +38,8 @@ object Greedy {
     * @param k          seed budget
     */
   def run[V](sigma: Seq[Int] => V, candidates: Seq[Int], k: Int)(implicit num: Numeric[V]): ImResult = {
-    require(k > 0 && k <= candidates.distinct.size, s"need 0 < k <= |candidates|, got k=$k")
+    var remaining = candidates.distinct.toVector
+    require(k > 0 && k <= remaining.size, s"need 0 < k <= |candidates|, got k=$k")
     val start = System.nanoTime()
     def elapsedMs: Long = (System.nanoTime() - start) / 1000000L
     var evals = 0L
@@ -46,7 +47,6 @@ object Greedy {
     var round0Ms = 0L
     var chosen = Vector.empty[Int]
     var sigmas = Vector.empty[Double]
-    var remaining = candidates.distinct.toVector
     while (chosen.size < k) {
       var bestNode = -1
       var bestSigma = num.zero

@@ -49,9 +49,10 @@ object MonteCarlo {
   /** The one Spark fan-out: checks `seeds` on the driver, broadcasts `g` and
     * maps each of min(trials, defaultParallelism) slices of the trial range
     * [0, trials), none empty, through `f` with one reusable-state simulator.
-    * An IC simulator reads the key table of the broadcast graph's topology:
-    * in local mode every task reads the driver's own graph, so no task
-    * hashes the edges again; a deserialized copy builds its table once.
+    * An IC simulator reads the key table of the broadcast graph's
+    * [[repro.core.CsrTopology]]: in local mode every task reads the driver's
+    * own graph, so no task hashes the edges again; a deserialized copy
+    * builds its table once.
     */
   private def perPartition[T: ClassTag](spark: SparkSession, g: CsrGraph, seeds: Array[Int], trials: Int, seed: Long, model: Model)(
       f: (Simulator, Iterator[Long]) => Iterator[T]): RDD[T] = {

@@ -20,7 +20,7 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
     val offsets = new Array[Int](n + 1)
     sorted.foreach { case (u, _, _) => offsets(u + 1) += 1 }
     (0 until n).foreach(v => offsets(v + 1) += offsets(v))
-    new CsrGraph(n, offsets, sorted.map(_._2).toArray, sorted.map(_._3).toArray)
+    new CsrGraph(new CsrTopology(n, offsets, sorted.map(_._2).toArray), sorted.map(_._3).toArray)
   }
 
   /** True if some duplicated (src, dst) first occurs after an edge of the
@@ -125,17 +125,17 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
 
   test("constructor validates offsets length") {
     assertThrows[IllegalArgumentException](
-      new CsrGraph(2, Array(0, 0), Array.emptyIntArray, Array.emptyDoubleArray))
+      new CsrGraph(new CsrTopology(2, Array(0, 0), Array.emptyIntArray), Array.emptyDoubleArray))
   }
 
   test("constructor validates offsets endpoints") {
     assertThrows[IllegalArgumentException](
-      new CsrGraph(1, Array(0, 1), Array.emptyIntArray, Array.emptyDoubleArray))
+      new CsrGraph(new CsrTopology(1, Array(0, 1), Array.emptyIntArray), Array.emptyDoubleArray))
   }
 
   test("constructor validates weights length") {
     assertThrows[IllegalArgumentException](
-      new CsrGraph(1, Array(0, 1), Array(0), Array.emptyDoubleArray))
+      new CsrGraph(new CsrTopology(1, Array(0, 1), Array(0)), Array.emptyDoubleArray))
   }
 
   /** A fixed random edge list no other test builds, with fresh weights. */
@@ -181,9 +181,47 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
     assert(others(1)._2.offsets.sameElements(g.offsets))
     others.foreach { case (what, h) =>
       assert(h.topology ne g.topology, what)
-      assert(h.topology != g.topology, what)
       assert(new IcSimulator(h, 5).keys ne new IcSimulator(g, 5).keys, what)
     }
+  }
+
+  test("TV, UR, WC and LT-normalised UR of one edge frame, built in turn, share one topology and one key table") {
+    val edges = GraphOps.symmetrize(Generators.chungLuPowerLaw(spark, n = 500, m = 2500, beta = 0.66, seed = 20))
+    val weighted = Seq(
+      "TV" -> EdgeWeights("TV", edges, seed = 7),
+      "UR" -> EdgeWeights("UR", edges, seed = 7),
+      "WC" -> EdgeWeights("WC", edges, seed = 7),
+      "LT" -> EdgeWeights.normalizeForLT(EdgeWeights("UR", edges, seed = 7)),
+    )
+    val built = weighted.map { case (what, df) =>
+      val triples = GraphOps.toTriples(df)
+      (what, triples.map(e => (e._1, e._2)), CsrGraph.fromTriples(500, triples))
+    }
+    val (_, tvOrder, tv) = built.head
+    val keys = new IcSimulator(tv, 3).keys
+    built.foreach { case (what, order, g) =>
+      assert(g.topology eq tv.topology, what)
+      assert(new IcSimulator(g, 3).keys eq keys, what)
+      // WC and LT join the edges to per-node sums, so their rows come in another order.
+      assert((order == tvOrder) == (what == "TV" || what == "UR"), what)
+    }
+  }
+
+  test("a rebuild of an edge set after another edge set gets a fresh topology with equal arrays") {
+    val rnd = new scala.util.Random(1922)
+    val a = sharedEdges(rnd, 100, 400)
+    val ga = CsrGraph.fromTriples(100, a)
+    val gb = CsrGraph.fromTriples(100, sharedEdges(rnd, 100, 400))
+    val again = CsrGraph.fromTriples(100, reweighted(a, rnd))
+    assert(gb.topology ne ga.topology)
+    assert(again.topology ne ga.topology)
+    assert(again.offsets.sameElements(ga.offsets) && again.targets.sameElements(ga.targets))
+    assert(CsrGraph.fromTriples(100, a).topology eq again.topology)
+  }
+
+  test("inside repro.core the constructor takes a topology and weights") {
+    // The same expression that GraphOpsSpec shows does not compile outside repro.core.
+    assertCompiles("new CsrGraph(new CsrTopology(2, Array(0, 1, 1), Array(5)), Array(Double.NaN))")
   }
 
   private def serialize(x: AnyRef): Array[Byte] = {
@@ -203,7 +241,7 @@ class CsrGraphSpec extends SparkSpec with PropHelpers {
     // A deserialized copy keeps its own topology, whose table is not built yet.
     val copy = deserialize[CsrGraph](serialize(g))
     assert(copy.topology ne g.topology)
-    assert(copy.topology == g.topology)
+    assert(copy.n == g.n && copy.offsets.sameElements(g.offsets) && copy.targets.sameElements(g.targets))
     val unbuilt = serialize(copy).length
     val sim = new IcSimulator(copy, 31)
     assert(sim.keys ne g.topology.edgeKeys)

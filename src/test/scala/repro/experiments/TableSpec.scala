@@ -76,7 +76,7 @@ class TableSpec extends SparkSpec {
   }
 
   test("Timing.perTrialMs rejects non-positive maxTrials") {
-    assertThrows[IllegalArgumentException](Timing.perTrialMs(_ => (), maxTrials = 0))
+    assertThrows[IllegalArgumentException](Timing.perTrialMs(_ => (), maxTrials = 0, minTimeMs = 0))
   }
 
   test("Table2.run smoke: small instance, CSR and boxed backends agree on seeds") {

@@ -99,7 +99,8 @@ class GraphOpsSpec extends SparkSpec {
 
   test("a CsrGraph is built only through the validating builder") {
     assertCompiles("repro.core.CsrGraph.fromTriples(2, Seq((0, 1, 0.5)))")
-    assertDoesNotCompile("new repro.core.CsrGraph(2, Array(0, 1, 1), Array(5), Array(Double.NaN))")
+    assertDoesNotCompile(
+      "new repro.core.CsrGraph(new repro.core.CsrTopology(2, Array(0, 1, 1), Array(5)), Array(Double.NaN))")
   }
 
   test("symmetrize of a canonical undirected list doubles the edge count") {
