@@ -120,11 +120,6 @@ object CsrGraph {
   /** Build from (src, dst, weight) triples. Deduplicates exact duplicate
     * (src, dst) pairs keeping the first weight; sorts rows by target.
     *
-    * One pass copies and validates the edges; a stable counting sort by
-    * source fills packed `(dst << 32) | inputIndex` longs (so equal targets
-    * stay in input order); each row is sorted and keeps the first entry of
-    * every run of equal targets.
-    *
     * @param n       node count (ids must lie in [0, n))
     * @param triples directed, weighted edges; weights must lie in [0, 1]
     */
